@@ -1,21 +1,21 @@
 // Fleet scenario bench: an 8-device (override with argv[1]) three-standard
 // mixed-traffic fleet over lossy channels.
 //
-//   1. Determinism: two batched runs with the same seed must produce
-//      byte-identical aggregate stats, and the batched path must complete
-//      exactly the work the legacy per-device loop completes.
-//   2. Throughput: batched lockstep vs looping the legacy scheduler per
-//      device (run_until, predicate every cycle), measured over alternating
-//      repetitions with the median taken per path to suppress host noise.
-//      A parallel-workers batched run is reported when the host has more
+//   1. Determinism: two runs with the same seed must produce byte-identical
+//      aggregate stats, and the idle-skip run must reproduce the every-tick
+//      run's full digest (idle_skip = false ticks every component every
+//      cycle).
+//   2. Throughput: idle-skip lockstep vs the every-tick run, measured over
+//      alternating repetitions with the median taken per arm to suppress
+//      host noise. A parallel-workers run is reported when the host has more
 //      than one core (it is digest-identical to the serial run).
 //
-//   3. Quiescence: the batched path skips provably-idle component ticks
+//   3. Quiescence: the idle-skip run skips provably-idle component ticks
 //      (sim/scheduler.hpp); the digests above pin that skipping is
 //      bit-identical, and the skip ratio is reported as the workload's idle
 //      dominance.
 //
-//   4. Scaling (--devices): a device-count sweep of the batched path,
+//   4. Scaling (--devices): a device-count sweep of the idle-skip run,
 //      reporting aggregate device-cycles/sec per point (reciprocal: host ns
 //      per device-cycle) — the curve that proves the scheduler's per-device
 //      cost stays flat as fleets grow. CI gates the 1k-device point at
@@ -105,10 +105,11 @@ int main(int argc, char** argv) {
   const int reps = std::max(1, argc > 3 ? std::atoi(argv[3]) : 3);
   constexpr drmp::u64 kSeed = 2008;
 
-  const auto make_spec = [&](unsigned workers) {
+  const auto make_spec = [&](unsigned workers, bool idle_skip = true) {
     ScenarioSpec spec = ScenarioSpec::mixed_three_standard(n_devices, kSeed, msdus);
     spec.max_cycles = 60'000'000;
     spec.worker_threads = workers;
+    spec.idle_skip = idle_skip;
     if (workers != 1) spec.lockstep_stride = 32'768;
     return spec;
   };
@@ -117,39 +118,39 @@ int main(int argc, char** argv) {
               n_devices, msdus, static_cast<unsigned long long>(kSeed), reps);
 
   // ---- Correctness gates ----
-  const FleetStats batched = ScenarioEngine(make_spec(1)).run();
+  const FleetStats skipping = ScenarioEngine(make_spec(1)).run();
   const FleetStats repeat = ScenarioEngine(make_spec(1)).run();
-  const FleetStats legacy =
-      ScenarioEngine(make_spec(1)).run(ScenarioEngine::Path::kLegacy);
+  const FleetStats every_tick = ScenarioEngine(make_spec(1, false)).run();
 
-  std::printf("%s\n", batched.report().c_str());
+  std::printf("%s\n", skipping.report().c_str());
 
-  if (batched.full_digest() != repeat.full_digest() ||
-      batched.report() != repeat.report()) {
-    std::printf("DETERMINISM FAILURE: two batched runs with the same seed diverged\n");
+  if (skipping.full_digest() != repeat.full_digest() ||
+      skipping.report() != repeat.report()) {
+    std::printf("DETERMINISM FAILURE: two runs with the same seed diverged\n");
     return 1;
   }
-  std::printf("determinism: two batched runs byte-identical (digest %016llx)\n",
-              static_cast<unsigned long long>(batched.full_digest()));
+  std::printf("determinism: two runs byte-identical (digest %016llx)\n",
+              static_cast<unsigned long long>(skipping.full_digest()));
 
-  if (batched.completion_digest() != legacy.completion_digest()) {
-    std::printf("PATH MISMATCH: batched and legacy completed different work\n");
+  if (skipping.full_digest() != every_tick.full_digest() ||
+      skipping.report() != every_tick.report()) {
+    std::printf("SKIP MISMATCH: the idle-skip and every-tick runs diverged\n");
     return 1;
   }
-  if (!batched.all_drained || !legacy.all_drained) {
+  if (!skipping.all_drained) {
     std::printf("BUDGET EXHAUSTED before the fleet drained\n");
     return 1;
   }
-  std::printf("equivalence: batched and legacy completion digests match\n");
+  std::printf("equivalence: idle-skip and every-tick full digests match\n");
 
   const unsigned cores = std::max(1u, std::thread::hardware_concurrency());
   if (cores > 1) {
     const FleetStats parallel = ScenarioEngine(make_spec(0)).run();
-    if (parallel.completion_digest() != batched.completion_digest()) {
+    if (parallel.completion_digest() != skipping.completion_digest()) {
       std::printf("PARALLEL MISMATCH: worker-thread run diverged from serial\n");
       return 1;
     }
-    std::printf("parallel:    %u-worker batched run matches serial digests\n", cores);
+    std::printf("parallel:    %u-worker run matches serial digests\n", cores);
   }
 
   // ---- Checkpoint roundtrip gate (--checkpoint-roundtrip) ----
@@ -162,7 +163,7 @@ int main(int argc, char** argv) {
     const std::string snap_path = "BENCH_fleet.snap";
     ScenarioSpec half = make_spec(1);
     const drmp::Cycle stride = half.lockstep_stride;
-    drmp::Cycle half_cycles = batched.lockstep_cycles / 2 / stride * stride;
+    drmp::Cycle half_cycles = skipping.lockstep_cycles / 2 / stride * stride;
     if (half_cycles == 0) half_cycles = stride;
     ckpt_half_cycles = half_cycles;
     half.max_cycles = half_cycles;  // "crash" at the half-way round edge.
@@ -181,8 +182,8 @@ int main(int argc, char** argv) {
         std::chrono::duration<double>(std::chrono::steady_clock::now() - r0)
             .count();
     const FleetStats resumed = resumer.run();
-    if (resumed.full_digest() != batched.full_digest() ||
-        resumed.report() != batched.report()) {
+    if (resumed.full_digest() != skipping.full_digest() ||
+        resumed.report() != skipping.report()) {
       std::printf(
           "CHECKPOINT MISMATCH: the interrupted-and-resumed run diverged from "
           "the uninterrupted digest\n");
@@ -197,36 +198,32 @@ int main(int argc, char** argv) {
         1e3 * ckpt_resume_seconds);
   }
 
-  // ---- Throughput: interleaved passes (A,B,A,B), median per path ----
+  // ---- Throughput: interleaved passes (A,B,A,B), median per arm ----
   std::vector<std::function<double()>> arms = {
       [&] { return ScenarioEngine(make_spec(1)).run().device_cycles_per_sec(); },
-      [&] {
-        return ScenarioEngine(make_spec(1))
-            .run(ScenarioEngine::Path::kLegacy)
-            .device_cycles_per_sec();
-      },
+      [&] { return ScenarioEngine(make_spec(1, false)).run().device_cycles_per_sec(); },
   };
   if (cores > 1) {
     arms.push_back(
         [&] { return ScenarioEngine(make_spec(0)).run().device_cycles_per_sec(); });
   }
   const auto samples = drmp::bench::interleaved_samples(arms, reps);
-  const double batched_rate = drmp::bench::median_rate(samples[0]);
-  const double legacy_rate = drmp::bench::median_rate(samples[1]);
+  const double skip_rate = drmp::bench::median_rate(samples[0]);
+  const double every_tick_rate = drmp::bench::median_rate(samples[1]);
   std::printf("\nthroughput (simulated device-cycles / host second, median of %d):\n",
               reps);
-  std::printf("  batched lockstep   : %12.3e\n", batched_rate);
-  std::printf("  legacy per-device  : %12.3e\n", legacy_rate);
+  std::printf("  idle-skip lockstep : %12.3e\n", skip_rate);
+  std::printf("  every-tick         : %12.3e\n", every_tick_rate);
   if (samples.size() > 2) {
-    std::printf("  batched x%-2u workers: %12.3e\n", cores,
+    std::printf("  idle-skip x%u workers: %12.3e\n", cores,
                 drmp::bench::median_rate(samples[2]));
   }
-  if (legacy_rate > 0.0) {
-    std::printf("  serial speedup     : %.3fx%s\n", batched_rate / legacy_rate,
-                batched_rate >= legacy_rate * 0.97 ? "" : "  [SLOWER THAN LEGACY]");
+  if (every_tick_rate > 0.0) {
+    std::printf("  serial speedup     : %.3fx%s\n", skip_rate / every_tick_rate,
+                skip_rate >= every_tick_rate * 0.97 ? "" : "  [SLOWER THAN EVERY-TICK]");
   }
   std::printf("  idle-skip ratio    : %.2f skipped ticks per executed tick\n",
-              batched.skip_ratio());
+              skipping.skip_ratio());
 
   // ---- Device-count scaling sweep (--devices) ----
   // One MSDU per active mode per device: enough traffic that every cell
@@ -271,15 +268,16 @@ int main(int argc, char** argv) {
     rec.num("devices", static_cast<drmp::u64>(n_devices));
     rec.num("msdus_per_mode", msdus);
     rec.num("seed", kSeed);
-    rec.num("lockstep_cycles", batched.lockstep_cycles);
-    rec.num("device_cycles_total", batched.device_cycles_total());
-    rec.num("wall_seconds", batched.wall_seconds);
-    rec.num("device_cycles_per_sec", batched_rate);
-    rec.num("legacy_device_cycles_per_sec", legacy_rate);
-    rec.num("speedup_vs_legacy", legacy_rate > 0.0 ? batched_rate / legacy_rate : 0.0);
-    rec.num("ticks_executed", batched.ticks_executed);
-    rec.num("ticks_skipped", batched.ticks_skipped);
-    rec.num("skip_ratio", batched.skip_ratio());
+    rec.num("lockstep_cycles", skipping.lockstep_cycles);
+    rec.num("device_cycles_total", skipping.device_cycles_total());
+    rec.num("wall_seconds", skipping.wall_seconds);
+    rec.num("device_cycles_per_sec", skip_rate);
+    rec.num("every_tick_device_cycles_per_sec", every_tick_rate);
+    rec.num("speedup_vs_every_tick",
+            every_tick_rate > 0.0 ? skip_rate / every_tick_rate : 0.0);
+    rec.num("ticks_executed", skipping.ticks_executed);
+    rec.num("ticks_skipped", skipping.ticks_skipped);
+    rec.num("skip_ratio", skipping.skip_ratio());
     if (checkpoint_roundtrip) {
       rec.num("checkpoint_roundtrip_ok", 1);
       rec.num("checkpoint_half_cycles", ckpt_half_cycles);
@@ -297,9 +295,9 @@ int main(int argc, char** argv) {
         rec.num("sweep_cpsd_" + std::to_string(sweep_points[k]), sweep_cpsd[k]);
       }
     }
-    drmp::bench::add_profile(rec, batched);
-    rec.hex("full_digest", batched.full_digest());
-    rec.hex("completion_digest", batched.completion_digest());
+    drmp::bench::add_profile(rec, skipping);
+    rec.hex("full_digest", skipping.full_digest());
+    rec.hex("completion_digest", skipping.completion_digest());
     if (!rec.write(json_path)) {
       std::printf("FAILED to write %s\n", json_path.c_str());
       return 1;

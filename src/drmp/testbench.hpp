@@ -25,6 +25,8 @@ class Testbench {
 
   /// Runs for n architecture cycles.
   void run_cycles(Cycle n) { sched_->run_cycles(n); }
+  /// sim::Scheduler::run_until: `done` must read state that changes inside
+  /// a tick, like the outcome trackers below.
   bool run_until(const std::function<bool()>& done, Cycle max_cycles) {
     return sched_->run_until(done, max_cycles);
   }

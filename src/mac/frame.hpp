@@ -17,7 +17,11 @@ class ByteWriter {
   void u8_(u8 v) { out_.push_back(v); }
   void u16le(u16 v) { put_le16(out_, v); }
   void u32le(u32 v) { put_le32(out_, v); }
-  void bytes(std::span<const u8> b) { out_.insert(out_.end(), b.begin(), b.end()); }
+  // Byte-wise (the fields are MAC addresses): GCC 12 misreads a range
+  // insert into a just-grown vector as an over-read.
+  void bytes(std::span<const u8> b) {
+    for (const u8 v : b) out_.push_back(v);
+  }
 
  private:
   Bytes& out_;

@@ -54,7 +54,9 @@ bool LinkMgr::notify_complete(bool ok, u32 retries) {
     submit_mgmt(p_.assoc_bytes, 0xA0);
   } else if (state_ == kAssociating) {
     state_ = kAssociated;
-    const auto serving_signed = static_cast<i64>(static_cast<std::int32_t>(serving_));
+    // Read only by DRMP_OBS, which DRMP_OBS_DISABLE compiles out.
+    [[maybe_unused]] const auto serving_signed =
+        static_cast<i64>(static_cast<std::int32_t>(serving_));
     if (reassoc_pending_) {
       reassoc_pending_ = false;
       ++reassociations_;

@@ -358,7 +358,8 @@ void ContendedMedium::tick() {
     Tx& t = on_air_[i];
     if (!t.delivered && t.end <= now_) {
       t.delivered = true;
-      const auto frame_bytes = static_cast<i64>(t.frame.size());
+      // Read only by DRMP_OBS, which DRMP_OBS_DISABLE compiles out.
+      [[maybe_unused]] const auto frame_bytes = static_cast<i64>(t.frame.size());
       if (trivial()) {
         if (!t.collided) {
           DRMP_OBS(rec_, t.end, obs::EventKind::kDelivery, rec_track_,

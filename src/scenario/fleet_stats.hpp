@@ -3,13 +3,15 @@
 // Two digests with different stability contracts:
 //   * completion_digest() covers only counters coupled to MSDU completion
 //     (offered/completed/ok/retries/bytes). These are invariant to *when* a
-//     lane's clock stops after its workload drains, so the batched lockstep
-//     path (which overshoots a drained lane by up to stride-1 cycles) and the
-//     legacy per-cycle path produce equal completion digests.
+//     lane's clock stops after its workload drains, so lockstep runs that
+//     overshoot a drained lane by up to stride-1 cycles produce equal
+//     completion digests whatever the stride (lockstep_stride = 1 overshoots
+//     by nothing).
 //   * full_digest() additionally covers delivery/peer/channel/contention
 //     counters and per-lane cycle counts — everything integral. Equal specs
-//     through the same execution path must produce equal full digests; that
-//     is the determinism contract the tests pin down.
+//     must produce equal full digests whatever the worker count and
+//     idle-skip setting; that is the determinism contract the tests pin
+//     down.
 //
 // Power estimates (DevicePower) are derived floating-point views of the
 // integral busy counters — deterministic for a given build, but kept out of
@@ -147,7 +149,7 @@ struct FleetStats {
   // Quiescence-skip accounting, summed over lanes. Execution-strategy
   // artefacts, not simulation results: both stay out of the digests and the
   // report so skip-on and skip-off runs compare byte-identical.
-  u64 ticks_executed = 0;  ///< Component-ticks actually run (batched path).
+  u64 ticks_executed = 0;  ///< Component-ticks actually run.
   u64 ticks_skipped = 0;   ///< Component-ticks replaced by bulk accounting.
   // ---- Observability surface (PR-7). Everything below shares the digest
   // exemption above: the engine's execution profile and the metrics registry
@@ -165,7 +167,7 @@ struct FleetStats {
   u64 wheel_purges = 0;           ///< Stale-majority wake-wheel sweeps.
   u64 medium_ticks_executed = 0;  ///< kStageMedium component-ticks run.
   u64 medium_ticks_skipped = 0;   ///< kStageMedium component-ticks skipped.
-  u64 lockstep_rounds = 0;        ///< MultiScheduler rounds (batched path).
+  u64 lockstep_rounds = 0;        ///< MultiScheduler rounds.
   u64 lane_rounds_skipped = 0;    ///< Quiescent lane-round skips, summed.
   Cycle lane_stall_cycles = 0;    ///< Cycles lanes sat parked in skipped rounds.
   /// Skipped-to-executed component-tick ratio (the fleet's idle dominance).

@@ -52,16 +52,19 @@ void Writer::end_record() {
 
 Bytes Writer::envelope() const {
   if (!open_.empty()) throw std::logic_error("Writer::envelope with open records");
-  Bytes out;
-  out.reserve(kHeaderBytes + buf_.size() + kTrailerBytes);
-  out.insert(out.end(), kMagic, kMagic + 8);
-  const u32 ver = kSnapshotVersion;
-  for (std::size_t i = 0; i < 4; ++i) out.push_back(static_cast<u8>(ver >> (8 * i)));
+  // Sized once and filled in place: no vector growth for GCC 12's
+  // -Wstringop-overflow to misjudge.
   const u64 len = buf_.size();
-  for (std::size_t i = 0; i < 8; ++i) out.push_back(static_cast<u8>(len >> (8 * i)));
-  out.insert(out.end(), buf_.begin(), buf_.end());
+  Bytes out(kHeaderBytes + len + kTrailerBytes);
+  std::copy(kMagic, kMagic + 8, out.begin());
+  const u32 ver = kSnapshotVersion;
+  for (std::size_t i = 0; i < 4; ++i) out[8 + i] = static_cast<u8>(ver >> (8 * i));
+  for (std::size_t i = 0; i < 8; ++i) out[12 + i] = static_cast<u8>(len >> (8 * i));
+  std::copy(buf_.begin(), buf_.end(), out.begin() + kHeaderBytes);
   const u32 crc = crypto::Crc32::compute(buf_);
-  for (std::size_t i = 0; i < 4; ++i) out.push_back(static_cast<u8>(crc >> (8 * i)));
+  for (std::size_t i = 0; i < 4; ++i) {
+    out[kHeaderBytes + len + i] = static_cast<u8>(crc >> (8 * i));
+  }
   return out;
 }
 
@@ -144,6 +147,7 @@ void Reader::check_remaining(std::size_t n) {
 
 void Reader::get(void* p, std::size_t n) {
   check_remaining(n);
+  if (n == 0) return;  // An empty target's data() may be null.
   std::memcpy(p, payload_.data() + pos_, n);
   pos_ += n;
 }

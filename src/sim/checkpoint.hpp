@@ -25,8 +25,8 @@
 // Snapshots are legal only at quiescent lockstep round edges — exactly where
 // the lax-sync causality argument already holds (docs/ARCHITECTURE.md,
 // "Checkpoint/resume") — which is why no scheduler wake bookkeeping appears
-// in any record: Scheduler::run_cycles_batched rebuilds it from component
-// quiescence bounds on entry.
+// in any record: every Scheduler run rebuilds it from component quiescence
+// bounds on entry.
 #pragma once
 
 #include <array>

@@ -47,7 +47,7 @@ MultiScheduler::RunResult MultiScheduler::run(Cycle max_cycles, Cycle stride,
   RoundState round;
   round.active = &active;
   // Cycles a quiescent lane owes because its rounds were skipped; replayed
-  // in one batched call when the lane's next_wake falls due (or at exit).
+  // in one run_cycles call when the lane's next_wake falls due (or at exit).
   std::vector<Cycle> deferred(lanes_.size(), 0);
   const auto run_lane = [&](std::size_t idx) {
     Lane& lane = lanes_[idx];
@@ -64,12 +64,12 @@ MultiScheduler::RunResult MultiScheduler::run(Cycle max_cycles, Cycle stride,
       return;
     }
     deferred[idx] = 0;
-    lane.sched->run_cycles_batched(want);
+    lane.sched->run_cycles(want);
     lane.cycles_run += want;
   };
   const auto flush_lane = [&](std::size_t idx) {
     if (deferred[idx] == 0) return;
-    lanes_[idx].sched->run_cycles_batched(deferred[idx]);
+    lanes_[idx].sched->run_cycles(deferred[idx]);
     lanes_[idx].cycles_run += deferred[idx];
     deferred[idx] = 0;
   };

@@ -5,6 +5,7 @@
 #include <algorithm>
 #include <bit>
 #include <numeric>
+#include <stdexcept>
 #include <utility>
 
 namespace drmp::sim {
@@ -14,6 +15,12 @@ void Clockable::wake_self() noexcept {
 }
 
 void Scheduler::add(Clockable& c, std::string name, int stage) {
+  // The component array is frozen at run entry; a component registered from
+  // inside a tick would silently miss the rest of the run.
+  if (in_run_) {
+    throw std::logic_error("Scheduler::add: cannot register '" + name +
+                           "' while a run is in progress");
+  }
   entries_.push_back(Entry{&c, stage});
   names_.push_back(std::move(name));
   batch_dirty_ = true;
@@ -28,7 +35,7 @@ void Scheduler::freeze() {
     skip += stage_skip_[b];
   }
   // Stable sort keeps registration order within a stage, so an all-default
-  // scheduler executes in exact registration order (the legacy contract).
+  // scheduler executes in exact registration order.
   std::vector<std::size_t> order(entries_.size());
   std::iota(order.begin(), order.end(), std::size_t{0});
   std::stable_sort(order.begin(), order.end(),
@@ -63,42 +70,12 @@ void Scheduler::freeze() {
   batch_dirty_ = false;
 }
 
-void Scheduler::step() {
-  if (batch_dirty_) freeze();
-  for (Clockable* c : batch_) {
-    c->tick();
-  }
-  ++now_;
-}
-
-void Scheduler::run_cycles(Cycle n) {
-  for (Cycle i = 0; i < n; ++i) {
-    step();
-  }
-}
-
-void Scheduler::run_cycles_batched_every_tick(Cycle n) {
-  // The pre-quiescence hot path: the component array lives in locals. The
-  // member clock still advances every cycle so components that sample now()
-  // mid-tick observe the same values as under run_cycles.
-  Clockable* const* comps = batch_.data();
-  const std::size_t count = batch_.size();
-  for (Cycle i = 0; i < n; ++i) {
-    for (std::size_t k = 0; k < count; ++k) {
-      comps[k]->tick();
-    }
-    ++now_;
-  }
-  ticks_executed_ += n * count;
-  for (std::size_t k = 0; k < count; ++k) stage_exec_[stage_bucket_[k]] += n;
-  next_wake_ = now_;
-}
-
-void Scheduler::enter_batched() {
-  in_batched_run_ = true;
+void Scheduler::enter_run(bool skip) {
+  in_run_ = true;
+  states_.assign(batch_.size(), CompState{});
+  if (!skip) return;  // Every-tick mode: nothing ever sleeps.
   in_cycle_ = false;
   cursor_ = kNoCursor;
-  states_.assign(batch_.size(), CompState{});
   wheel_.reset(now_);
   wheel_stale_ = 0;
   active_.reset(batch_.size());
@@ -128,10 +105,21 @@ void Scheduler::enter_batched() {
   }
 }
 
-void Scheduler::exit_batched() {
+void Scheduler::exit_run(bool skip, Cycle cycles) {
+  if (!skip) {
+    // Every-tick mode ticked every component every cycle: account in bulk.
+    // It ticks every cycle, so its lane hint is always now().
+    ticks_executed_ += cycles * batch_.size();
+    for (std::size_t k = 0; k < batch_.size(); ++k) {
+      stage_exec_[stage_bucket_[k]] += cycles;
+    }
+    next_wake_ = now_;
+    in_run_ = false;
+    return;
+  }
   // Settle: every sleeping component is caught up through the last executed
   // cycle, so introspection (stats, counters, internal clocks) between runs
-  // is indistinguishable from the every-tick path.
+  // is indistinguishable from every-tick mode.
   for (u32 i = 0; i < states_.size(); ++i) {
     CompState& st = states_[i];
     if (!st.sleeping) continue;
@@ -147,7 +135,7 @@ void Scheduler::exit_batched() {
     st.sleeping = false;
     ++st.gen;
   }
-  in_batched_run_ = false;
+  in_run_ = false;
   // Lane-level wake hint for MultiScheduler: when the whole scheduler is
   // quiescent, report the earliest cycle a real tick could occur.
   Cycle min_q = Clockable::kIdleForever;
@@ -156,7 +144,7 @@ void Scheduler::exit_batched() {
     min_q = std::min(min_q, q);
     if (min_q == 0) break;
   }
-  if (min_q == 0 || batch_.empty()) {
+  if (min_q == 0) {
     next_wake_ = now_;
   } else if (min_q == Clockable::kIdleForever || min_q > Clockable::kIdleForever - now_) {
     next_wake_ = Clockable::kIdleForever;
@@ -166,9 +154,9 @@ void Scheduler::exit_batched() {
 }
 
 void Scheduler::wake_component(u32 idx) {
-  if (!in_batched_run_) {
+  if (!in_run_) {
     // External input between runs: the published lane hint no longer
-    // proves quiescence (the next batched entry re-partitions anyway).
+    // proves quiescence (the next run's entry re-partitions anyway).
     next_wake_ = now_;
     return;
   }
@@ -182,9 +170,9 @@ void Scheduler::wake_component(u32 idx) {
   }
   // Catch-up window: while mid-cycle, a target whose tick slot has not yet
   // passed this cycle owes [slept_from, now_) and then really ticks at now_
-  // (the legacy path would observe the just-delivered input this cycle); a
+  // (every-tick mode would observe the just-delivered input this cycle); a
   // target whose slot already passed owes [slept_from, now_] and resumes at
-  // now_+1 — exactly when legacy would first see the input.
+  // now_+1 — exactly when every-tick mode would first see the input.
   Cycle owed = now_ - st.slept_from;
   if (in_cycle_ && idx <= cursor_) ++owed;
   if (owed > 0) {
@@ -225,99 +213,113 @@ void Scheduler::drain_wheel() {
   }
 }
 
-void Scheduler::run_cycles_batched(Cycle n) {
+void Scheduler::run_cycles(Cycle n) { advance(now_ + n, nullptr); }
+
+bool Scheduler::run_until(const std::function<bool()>& done, Cycle max_cycles) {
+  if (done()) return true;
+  return advance(now_ + max_cycles, &done);
+}
+
+bool Scheduler::advance(Cycle limit, const std::function<bool()>* done) {
   if (batch_dirty_) freeze();
-  if (!idle_skip_ || batch_.empty()) {
-    run_cycles_batched_every_tick(n);
-    return;
+  // An empty scheduler has nothing to skip: its clock just counts cycles.
+  const bool skip = idle_skip_ && !batch_.empty();
+  const Cycle start = now_;
+  bool fired = false;
+  enter_run(skip);
+  while (now_ < limit && !fired) {
+    if (skip) {
+      skip_step(limit);
+    } else {
+      for (Clockable* c : batch_) c->tick();
+      ++now_;
+    }
+    fired = done != nullptr && (*done)();
   }
-  const Cycle limit = now_ + n;
-  enter_batched();
-  while (now_ < limit) {
-    drain_wheel();
-    // Globally-quiescent gap: nothing but eager components is awake. Fast-
-    // forward to the earliest wake bound (or the nearest eager event),
-    // bulk-accounting the gap into the eager components immediately so
-    // their externally visible clocks are exact at every cycle anything
-    // runs. The wheel reports a *lower* bound (a bucket floor above level
-    // 0), so a long gap may take a few hops — additive skip chunking makes
-    // that bit-identical to one jump.
-    if (awake_lazy_ == 0) {
-      Cycle gap = limit - now_;
-      const Cycle nb = wheel_.next_bound();
-      if (nb != TimingWheel::kNever) gap = std::min(gap, nb - now_);
-      for (std::size_t w = 0; w < active_.word_count() && gap > 0; ++w) {
+  exit_run(skip, now_ - start);
+  return fired;
+}
+
+void Scheduler::skip_step(Cycle limit) {
+  drain_wheel();
+  // Globally-quiescent gap: nothing but eager components is awake. Fast-
+  // forward to the earliest wake bound (or the nearest eager event),
+  // bulk-accounting the gap into the eager components immediately so
+  // their externally visible clocks are exact at every cycle anything
+  // runs. The wheel reports a *lower* bound (a bucket floor above level
+  // 0), so a long gap may take a few hops — additive skip chunking makes
+  // that bit-identical to one jump.
+  if (awake_lazy_ == 0) {
+    Cycle gap = limit - now_;
+    const Cycle nb = wheel_.next_bound();
+    if (nb != TimingWheel::kNever) gap = std::min(gap, nb - now_);
+    for (std::size_t w = 0; w < active_.word_count() && gap > 0; ++w) {
+      u64 m = active_.word(w);
+      while (m != 0 && gap > 0) {
+        const auto idx = static_cast<u32>(w * 64) + static_cast<u32>(std::countr_zero(m));
+        m &= m - 1;
+        gap = std::min(gap, batch_[idx]->quiescent_for());
+      }
+    }
+    if (gap > 0) {
+      for (std::size_t w = 0; w < active_.word_count(); ++w) {
         u64 m = active_.word(w);
-        while (m != 0 && gap > 0) {
+        while (m != 0) {
           const auto idx = static_cast<u32>(w * 64) +
                            static_cast<u32>(std::countr_zero(m));
           m &= m - 1;
-          gap = std::min(gap, batch_[idx]->quiescent_for());
+          batch_[idx]->skip_idle(gap);
+          stage_skip_[stage_bucket_[idx]] += gap;
         }
       }
-      if (gap > 0) {
-        for (std::size_t w = 0; w < active_.word_count(); ++w) {
-          u64 m = active_.word(w);
-          while (m != 0) {
-            const auto idx = static_cast<u32>(w * 64) +
-                             static_cast<u32>(std::countr_zero(m));
-            m &= m - 1;
-            batch_[idx]->skip_idle(gap);
-            stage_skip_[stage_bucket_[idx]] += gap;
-          }
-        }
-        ticks_skipped_ += gap * active_.size();
-        if (observer_ != nullptr) observer_->on_fast_forward(now_, gap);
-        now_ += gap;
-        ff_cycles_ += gap;
-        ++ff_events_;
-        ++ff_gap_log2_[static_cast<std::size_t>(std::bit_width(gap))];
-        continue;
-      }
+      ticks_skipped_ += gap * active_.size();
+      if (observer_ != nullptr) observer_->on_fast_forward(now_, gap);
+      now_ += gap;
+      ff_cycles_ += gap;
+      ++ff_events_;
+      ++ff_gap_log2_[static_cast<std::size_t>(std::bit_width(gap))];
+      return;
     }
-    // One real cycle over the awake set, in frozen (stage) order. After
-    // each tick the word is re-read above the cursor, so an index inserted
-    // by wake_component mid-pass is picked up later in this same pass —
-    // the same semantics the std::set iteration used to provide.
-    in_cycle_ = true;
-    for (std::size_t w = 0; w < active_.word_count(); ++w) {
-      u64 m = active_.word(w);
-      while (m != 0) {
-        const auto bit = static_cast<u32>(std::countr_zero(m));
-        const auto idx = static_cast<u32>(w * 64) + bit;
-        cursor_ = idx;
-        Clockable* c = batch_[idx];
-        c->tick();
-        ++ticks_executed_;
-        ++stage_exec_[stage_bucket_[idx]];
-        CompState& st = states_[idx];
-        if (!st.eager) {
-          const Cycle q = c->quiescent_for();
-          if (q > 0) {
-            st.sleeping = true;
-            ++st.gen;
-            st.slept_from = now_ + 1;
-            if (q != Clockable::kIdleForever &&
-                q < Clockable::kIdleForever - now_ - 1) {
-              wheel_.push(now_ + 1 + q, idx, st.gen);
-              st.in_wheel = true;
-              wheel_depth_max_ = std::max<u64>(wheel_depth_max_, wheel_.size());
-            }
-            active_.erase(idx);
-            --awake_lazy_;
-          }
-        }
-        // Re-read above the cursor: picks up same-cycle wakes at higher
-        // indices of this word (u64{2} << 63 wraps to 0, masking the word
-        // out entirely).
-        m = active_.word(w) & ~((u64{2} << bit) - 1);
-      }
-    }
-    in_cycle_ = false;
-    cursor_ = kNoCursor;
-    ++now_;
   }
-  exit_batched();
+  // One real cycle over the awake set, in frozen (stage) order. After
+  // each tick the word is re-read above the cursor, so an index inserted
+  // by wake_component mid-pass is picked up later in this same pass.
+  in_cycle_ = true;
+  for (std::size_t w = 0; w < active_.word_count(); ++w) {
+    u64 m = active_.word(w);
+    while (m != 0) {
+      const auto bit = static_cast<u32>(std::countr_zero(m));
+      const auto idx = static_cast<u32>(w * 64) + bit;
+      cursor_ = idx;
+      Clockable* c = batch_[idx];
+      c->tick();
+      ++ticks_executed_;
+      ++stage_exec_[stage_bucket_[idx]];
+      CompState& st = states_[idx];
+      if (!st.eager) {
+        const Cycle q = c->quiescent_for();
+        if (q > 0) {
+          st.sleeping = true;
+          ++st.gen;
+          st.slept_from = now_ + 1;
+          if (q != Clockable::kIdleForever && q < Clockable::kIdleForever - now_ - 1) {
+            wheel_.push(now_ + 1 + q, idx, st.gen);
+            st.in_wheel = true;
+            wheel_depth_max_ = std::max<u64>(wheel_depth_max_, wheel_.size());
+          }
+          active_.erase(idx);
+          --awake_lazy_;
+        }
+      }
+      // Re-read above the cursor: picks up same-cycle wakes at higher
+      // indices of this word (u64{2} << 63 wraps to 0, masking the word
+      // out entirely).
+      m = active_.word(w) & ~((u64{2} << bit) - 1);
+    }
+  }
+  in_cycle_ = false;
+  cursor_ = kNoCursor;
+  ++now_;
 }
 
 SchedulerProfile Scheduler::profile() const {
@@ -378,15 +380,6 @@ void Scheduler::load_state(snap::Reader& r) {
   std::fill(stage_exec_.begin(), stage_exec_.end(), 0);
   std::fill(stage_skip_.begin(), stage_skip_.end(), 0);
   next_wake_ = now_;
-}
-
-bool Scheduler::run_until(const std::function<bool()>& done, Cycle max_cycles) {
-  const Cycle limit = now_ + max_cycles;
-  while (now_ < limit) {
-    if (done()) return true;
-    step();
-  }
-  return done();
 }
 
 }  // namespace drmp::sim

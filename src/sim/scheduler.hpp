@@ -15,25 +15,30 @@
 // assemblers (scenario engine, multi-device testbenches) express "media
 // before devices before observers" without depending on construction order.
 //
-// Two execution paths advance the clock:
-//   * run_cycles / run_until — the legacy per-cycle path; ticks every
-//     component every cycle, checks for new registrations every cycle and
-//     evaluates run_until's predicate every cycle.
-//   * run_cycles_batched — the fleet hot path: the component list is frozen
-//     into one contiguous stage-ordered array at entry, and components that
-//     declare themselves quiescent are *not ticked* until their declared
-//     bound expires or an external input wakes them. Skipped ticks are
-//     bulk-accounted through Clockable::skip_idle, so every counter and
-//     statistic ends up cycle-for-cycle identical to run_cycles — including
-//     now() as observed from inside a tick — provided no component is
-//     registered mid-run (components are only ever registered during
-//     construction in this code base).
+// One loop advances the clock, behind two entry points: run_cycles(n) and
+// run_until(done, max). At entry the component list is frozen into one
+// contiguous stage-ordered array, and components that declare themselves
+// quiescent are *not ticked* until their declared bound expires or an
+// external input wakes them. Skipped ticks are bulk-accounted through
+// Clockable::skip_idle, so every counter and statistic ends up cycle-for-
+// cycle identical to ticking every component every cycle — including now()
+// as observed from inside a tick.
+//
+// set_idle_skip(false) selects every-tick mode of the same loop: every
+// component is ticked every cycle and nothing ever sleeps. It is the
+// reference the equivalence tests compare the skipping mode against.
+//
+// run_until's predicate is evaluated at entry, after every executed cycle
+// and at every fast-forward landing, never inside a skipped stretch. It must
+// therefore read state that changes inside a tick (completion counters,
+// delivered frames) or at an eager component's bound; it then fires on the
+// same cycle in both modes. Sleepers are settled before run_until returns.
 //
 // ---- The quiescence contract ----
 //
 // MAC workloads are idle-dominated: the paper's power argument (clock
 // gating, PSO, Fig. 5.12 state occupation) rests on components spending most
-// cycles quiescent. The batched path exploits the same property. A component
+// cycles quiescent. The scheduler exploits the same property. A component
 // may override:
 //
 //   * quiescent_for() — a conservative bound Q: "my next Q tick() calls
@@ -63,14 +68,14 @@
 // catches the component up (bulk-accounting the cycles it slept) and re-
 // inserts it into the active set — in the *current* cycle when its tick slot
 // has not yet passed this cycle, from the next cycle otherwise, which is
-// exactly when the legacy path would first observe the input. skip_idle
+// exactly when every-tick mode would first observe the input. skip_idle
 // implementations must not wake other components.
 //
 // Globally-quiescent gaps: when every component is quiescent, the scheduler
-// fast-forwards now_ to the earliest wake bound in one step (the wake-wheel
-// is a min-heap of sleeping components' bounds), bulk-accounting the gap
-// into every always-ticked component immediately so no state is ever stale
-// at a cycle where anything runs.
+// fast-forwards now_ to the earliest wake bound (the timing wheel below holds
+// sleeping components' bounds), bulk-accounting the gap into every eager
+// component immediately so no state is ever stale at a cycle where anything
+// runs.
 #pragma once
 
 #include <array>
@@ -129,7 +134,7 @@ class Clockable {
 
   /// Invalidates this component's quiescence bound: external input arrived.
   /// Safe to call at any time (no-op when awake, unregistered, or outside a
-  /// batched run). Defined in scheduler.cpp.
+  /// run). Defined in scheduler.cpp.
   void wake_self() noexcept;
 
  private:
@@ -141,8 +146,8 @@ class Clockable {
 /// Execution-domain introspection callbacks. sim/ stays ignorant of the
 /// observability layer (src/obs/ may include sim/, never the reverse); the
 /// flight recorder attaches through this interface to record skip spans and
-/// fast-forwards. Callbacks fire only on the batched idle-skip path, on the
-/// thread running the scheduler, and must not mutate simulation state.
+/// fast-forwards. Callbacks fire only with idle-skip on, on the thread
+/// running the scheduler, and must not mutate simulation state.
 class SchedulerObserver {
  public:
   virtual ~SchedulerObserver() = default;
@@ -152,7 +157,7 @@ class SchedulerObserver {
   virtual void on_fast_forward(Cycle from, Cycle len) = 0;
 };
 
-/// Always-on profile of a scheduler's batched execution (bench surface).
+/// Always-on profile of a scheduler's execution (bench surface).
 struct SchedulerProfile {
   struct Stage {
     int stage = 0;
@@ -439,27 +444,24 @@ class Scheduler {
   explicit Scheduler(Hz arch_freq) : timebase_(arch_freq) {}
 
   /// Registers a component; tick order is (stage, registration order).
+  /// Throws std::logic_error while a run is in progress (from inside a
+  /// tick, say): the frozen component array would not see the component.
   void add(Clockable& c, std::string name, int stage = kStageDefault);
 
-  /// Advances the simulation by n architecture cycles (legacy path).
+  /// Advances the simulation by n architecture cycles.
   void run_cycles(Cycle n);
 
-  /// Advances by n cycles over the frozen stage-ordered component array,
-  /// skipping quiescent components (see the header comment). Produces the
-  /// same state as run_cycles(n), cycle for cycle.
-  void run_cycles_batched(Cycle n);
-
   /// Runs until `done()` returns true or `max_cycles` elapse (whichever is
-  /// first). Returns true iff the predicate fired. The predicate is evaluated
-  /// before every cycle.
+  /// first). Returns true iff the predicate fired. See the header comment
+  /// for where the predicate is evaluated and what it may read.
   bool run_until(const std::function<bool()>& done, Cycle max_cycles);
 
-  /// Disables quiescence-aware skipping: run_cycles_batched ticks every
-  /// component every cycle (the pre-quiescence hot path). The baseline the
-  /// equivalence tests compare against. Toggling mid-run invalidates the
-  /// published next_wake() hint — the bound was computed under the other
-  /// policy — so it collapses to now(): always safe (a dispatched lane with
-  /// nothing to do just fast-forwards), never stale.
+  /// Disables quiescence-aware skipping: every component is ticked every
+  /// cycle (every-tick mode, the reference the equivalence tests compare
+  /// against). Toggling between runs invalidates the published next_wake()
+  /// hint — the bound was computed under the other policy — so it
+  /// collapses to now(): always safe (a dispatched lane with nothing to do
+  /// just fast-forwards), never stale.
   void set_idle_skip(bool enabled) noexcept {
     if (idle_skip_ != enabled) next_wake_ = now_;
     idle_skip_ = enabled;
@@ -467,7 +469,7 @@ class Scheduler {
   bool idle_skip() const noexcept { return idle_skip_; }
 
   /// Earliest cycle at which any component might execute a real tick, as
-  /// established at the end of the last batched run: now() when anything is
+  /// established at the end of the last run: now() when anything is
   /// active, kIdleForever when every component is quiescent indefinitely.
   /// Valid until a component is externally mutated; MultiScheduler uses it
   /// to skip lockstep rounds for fully-quiescent lanes.
@@ -483,7 +485,7 @@ class Scheduler {
   int component_stage(std::size_t i) const { return entries_[i].stage; }
 
   // ---- Idle-skip instrumentation (bench/report surface) ----
-  /// Component-ticks actually executed by batched runs.
+  /// Component-ticks actually executed.
   u64 ticks_executed() const noexcept { return ticks_executed_; }
   /// Component-ticks replaced by skip_idle bulk accounting.
   u64 ticks_skipped() const noexcept { return ticks_skipped_; }
@@ -499,23 +501,30 @@ class Scheduler {
   void set_observer(SchedulerObserver* o) noexcept { observer_ = o; }
 
   // ---- Checkpoint (sim/checkpoint.hpp) ----
-  /// Persists the clock and execution counters. Legal only between batched
-  /// runs: the only simulation state a scheduler carries across
-  /// run_cycles_batched calls is now_ — enter_batched rebuilds the whole
-  /// quiescence apparatus (active set, wake wheel, per-component states)
-  /// from component bounds at entry. load_state collapses next_wake() to
-  /// now(), which is always safe and never stale (the set_idle_skip
-  /// argument).
+  /// Persists the clock and execution counters. Legal only between runs:
+  /// the only simulation state a scheduler carries across runs is now_ —
+  /// enter_run rebuilds the whole quiescence apparatus (active set, wake
+  /// wheel, per-component states) from component bounds at entry.
+  /// load_state collapses next_wake() to now(), which is always safe and
+  /// never stale (the set_idle_skip argument).
   void save_state(snap::Writer& w);
   void load_state(snap::Reader& r);
 
  private:
-  void step();
+  /// The one advance loop behind run_cycles and run_until: runs until
+  /// `limit` or until `*done` (when given) fires; returns true iff it fired.
+  bool advance(Cycle limit, const std::function<bool()>* done);
   /// Rebuilds the contiguous stage-ordered execution array.
   void freeze();
-  void run_cycles_batched_every_tick(Cycle n);
-  void enter_batched();
-  void exit_batched();
+  /// Idle-skip mode's step: one executed cycle over the awake set, or one
+  /// fast-forward hop across a globally-quiescent gap (never past `limit`).
+  void skip_step(Cycle limit);
+  /// Partitions components into awake and sleeping (`skip` false: every-tick
+  /// mode, where nothing sleeps).
+  void enter_run(bool skip);
+  /// Settles sleepers (or, in every-tick mode, accounts the `cycles` run)
+  /// and publishes next_wake().
+  void exit_run(bool skip, Cycle cycles);
   /// Catches a sleeping component up and re-inserts it into the active set.
   void wake_component(u32 idx);
   friend class Clockable;
@@ -526,7 +535,7 @@ class Scheduler {
   };
 
   /// Per-component quiescence state, parallel to batch_; live only inside
-  /// run_cycles_batched.
+  /// a run.
   struct CompState {
     bool eager = false;    ///< global_skip_only(): tick unless global gap.
     bool sleeping = false;
@@ -554,7 +563,7 @@ class Scheduler {
   bool batch_dirty_ = false;
 
   bool idle_skip_ = true;
-  bool in_batched_run_ = false;
+  bool in_run_ = false;
   bool in_cycle_ = false;
   std::size_t cursor_ = kNoCursor;  ///< Frozen index currently ticking.
   std::vector<CompState> states_;

@@ -4,7 +4,7 @@
 // flows run through mac::LinkMgr, and every new moving part holds the
 // repo's determinism contracts — a frozen driver reproduces the static
 // cell's digests bit-for-bit across the execution-policy matrix, epoch
-// timelines match between the batched and legacy paths, roaming keeps
+// timelines match with idle-skip on and off, roaming keeps
 // lax-sync and reference coupling digest-identical, and a mid-walk
 // checkpoint resumes into the uninterrupted run's digests.
 #include <gtest/gtest.h>
@@ -21,11 +21,10 @@
 namespace drmp::scenario {
 namespace {
 
-FleetStats run_spec(ScenarioSpec spec, unsigned workers, bool idle_skip,
-                    ScenarioEngine::Path path = ScenarioEngine::Path::kBatched) {
+FleetStats run_spec(ScenarioSpec spec, unsigned workers, bool idle_skip) {
   spec.worker_threads = workers;
   spec.idle_skip = idle_skip;
-  return ScenarioEngine(std::move(spec)).run(path);
+  return ScenarioEngine(std::move(spec)).run();
 }
 
 std::string tmp_path(const std::string& name) {
@@ -65,31 +64,26 @@ TEST(Mobility, FrozenDriverReproducesStaticDigestsAcrossPolicies) {
 }
 
 // ---------------------------------------------------------------------------
-// Epoch edges through the quiescence contract, batched vs legacy.
+// Epoch edges through the quiescence contract, idle-skip vs every-tick.
 // ---------------------------------------------------------------------------
 
 TEST(Mobility, WalkPublishesEpochsIdenticallyAcrossPaths) {
   // The walk crosses the (0,1) audibility range mid-run: at least one epoch
-  // must be published, as a scheduled wake edge — the batched path (idle
-  // skipping past quiet stretches) and the per-cycle legacy path must see
-  // the same epoch count, the same collisions and the same completions.
+  // must be published, as a scheduled wake edge — idle-skipping past quiet
+  // stretches and ticking every cycle must see the same epoch count, the
+  // same collisions and the same completions.
   const ScenarioSpec proto =
       ScenarioSpec::mobile_wifi_cell(4, /*frozen=*/false, /*associate=*/false);
   const FleetStats batched = run_spec(proto, 1, true);
   ASSERT_TRUE(batched.all_drained);
   EXPECT_GE(batched.total_topology_epochs(), 1u) << batched.report();
 
-  const FleetStats legacy =
-      run_spec(proto, 1, true, ScenarioEngine::Path::kLegacy);
-  EXPECT_EQ(batched.completion_digest(), legacy.completion_digest());
-  EXPECT_EQ(batched.total_topology_epochs(), legacy.total_topology_epochs());
-  EXPECT_EQ(batched.total_collisions(), legacy.total_collisions());
-
   for (const unsigned workers : {1u, 0u}) {
     for (const bool idle_skip : {true, false}) {
       const FleetStats again = run_spec(proto, workers, idle_skip);
       EXPECT_EQ(again.full_digest(), batched.full_digest())
           << "workers=" << workers << " idle_skip=" << idle_skip;
+      EXPECT_EQ(again.total_topology_epochs(), batched.total_topology_epochs());
     }
   }
 }

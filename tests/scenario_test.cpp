@@ -1,7 +1,7 @@
 // Scenario-engine tests: fleet determinism (same seed => byte-identical
 // aggregate stats), cross-device isolation (a device's results do not depend
-// on fleet size), batched-vs-legacy path equivalence, and traffic-generator
-// arrival shaping.
+// on fleet size), lockstep-stride invariance of completed work, and
+// traffic-generator arrival shaping.
 #include <gtest/gtest.h>
 
 #include <map>
@@ -73,15 +73,18 @@ TEST(Scenario, CrossDeviceIsolation) {
   EXPECT_EQ(ds.value(), df.value());
 }
 
-TEST(Scenario, BatchedAndLegacyPathsCompleteTheSameWork) {
-  const FleetStats batched = ScenarioEngine(small_fleet(2, 99)).run();
-  const FleetStats legacy =
-      ScenarioEngine(small_fleet(2, 99)).run(ScenarioEngine::Path::kLegacy);
-  EXPECT_TRUE(batched.all_drained);
-  EXPECT_TRUE(legacy.all_drained);
+TEST(Scenario, DefaultAndUnitStridesCompleteTheSameWork) {
+  const FleetStats strided = ScenarioEngine(small_fleet(2, 99)).run();
+  ScenarioSpec unit = small_fleet(2, 99);
+  unit.lockstep_stride = 1;
+  const FleetStats exact = ScenarioEngine(std::move(unit)).run();
+  EXPECT_TRUE(strided.all_drained);
+  EXPECT_TRUE(exact.all_drained);
   // Completion-coupled counters are invariant to where each lane's clock
-  // stops (the batched path overshoots a drained lane by < one stride).
-  EXPECT_EQ(batched.completion_digest(), legacy.completion_digest());
+  // stops (a stride overshoots a drained lane by < one stride; a unit
+  // stride stops it on the cycle it drains).
+  EXPECT_EQ(strided.completion_digest(), exact.completion_digest());
+  EXPECT_GT(strided.devices[0].cycles_run, exact.devices[0].cycles_run);
 }
 
 TEST(Scenario, WorkerThreadsMatchSerialDigests) {
@@ -331,7 +334,7 @@ ScenarioSpec skewed_64_fleet(u64 seed) {
   return spec;
 }
 
-TEST(Scenario, SixtyFourDeviceMixedFleetDrainsAcrossWorkersAndPaths) {
+TEST(Scenario, SixtyFourDeviceMixedFleetDrainsAcrossWorkersAndStrides) {
   const FleetStats serial = ScenarioEngine(skewed_64_fleet(2026)).run();
   EXPECT_TRUE(serial.all_drained);
   ASSERT_EQ(serial.devices.size(), 64u);
@@ -345,10 +348,11 @@ TEST(Scenario, SixtyFourDeviceMixedFleetDrainsAcrossWorkersAndPaths) {
   const FleetStats parallel = ScenarioEngine(std::move(par)).run();
   EXPECT_EQ(serial.full_digest(), parallel.full_digest());
   EXPECT_EQ(serial.report(), parallel.report());
-  const FleetStats legacy =
-      ScenarioEngine(skewed_64_fleet(2026)).run(ScenarioEngine::Path::kLegacy);
-  EXPECT_TRUE(legacy.all_drained);
-  EXPECT_EQ(serial.completion_digest(), legacy.completion_digest());
+  ScenarioSpec unit = skewed_64_fleet(2026);
+  unit.lockstep_stride = 1;
+  const FleetStats exact = ScenarioEngine(std::move(unit)).run();
+  EXPECT_TRUE(exact.all_drained);
+  EXPECT_EQ(serial.completion_digest(), exact.completion_digest());
 }
 
 TEST(TrafficGen, SlottedStreamPacesArrivalsByInterval) {

@@ -3,8 +3,11 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <optional>
+#include <stdexcept>
 #include <vector>
 
+#include "drmp/testbench.hpp"
 #include "sim/clock.hpp"
 #include "sim/multi_scheduler.hpp"
 #include "sim/scheduler.hpp"
@@ -59,40 +62,38 @@ TEST(Scheduler, RunUntilTimesOut) {
 }
 
 TEST(Scheduler, BatchedMatchesLegacyCycleForCycle) {
-  // Identical component populations through both execution paths must leave
-  // identical state: same tick sequence, same tick counts, same clock.
-  std::vector<int> legacy_log, batched_log;
-  Scheduler legacy(200e6), batched(200e6);
-  OrderLogger l0(legacy_log, 0), l1(legacy_log, 1), l2(legacy_log, 2);
-  OrderLogger b0(batched_log, 0), b1(batched_log, 1), b2(batched_log, 2);
-  legacy.add(l0, "a");
-  legacy.add(l1, "b");
-  legacy.add(l2, "c");
-  batched.add(b0, "a");
-  batched.add(b1, "b");
-  batched.add(b2, "c");
-  legacy.run_cycles(37);
-  batched.run_cycles_batched(37);
-  EXPECT_EQ(legacy.now(), batched.now());
-  EXPECT_EQ(legacy_log, batched_log);
+  // Identical component populations in both modes must leave identical
+  // state: same tick sequence, same tick counts, same clock.
+  std::vector<int> every_tick_log, skipping_log;
+  Scheduler every_tick(200e6), skipping(200e6);
+  every_tick.set_idle_skip(false);
+  OrderLogger e0(every_tick_log, 0), e1(every_tick_log, 1), e2(every_tick_log, 2);
+  OrderLogger s0(skipping_log, 0), s1(skipping_log, 1), s2(skipping_log, 2);
+  every_tick.add(e0, "a");
+  every_tick.add(e1, "b");
+  every_tick.add(e2, "c");
+  skipping.add(s0, "a");
+  skipping.add(s1, "b");
+  skipping.add(s2, "c");
+  every_tick.run_cycles(37);
+  skipping.run_cycles(37);
+  EXPECT_EQ(every_tick.now(), skipping.now());
+  EXPECT_EQ(every_tick_log, skipping_log);
 }
 
 TEST(Scheduler, StagesOverrideRegistrationOrderInBothPaths) {
   // A medium-stage component registered last still ticks first; within a
   // stage, registration order is preserved.
-  for (const bool use_batched : {false, true}) {
+  for (const bool idle_skip : {false, true}) {
     std::vector<int> log;
     Scheduler s(200e6);
+    s.set_idle_skip(idle_skip);
     OrderLogger dev1(log, 1), dev2(log, 2), probe(log, 3), medium(log, 0);
     s.add(dev1, "dev1");
     s.add(probe, "probe", Scheduler::kStageObserver);
     s.add(dev2, "dev2");
     s.add(medium, "medium", Scheduler::kStageMedium);
-    if (use_batched) {
-      s.run_cycles_batched(2);
-    } else {
-      s.run_cycles(2);
-    }
+    s.run_cycles(2);
     EXPECT_EQ(log, (std::vector<int>{0, 1, 2, 3, 0, 1, 2, 3}));
     EXPECT_EQ(s.component_stage(1), Scheduler::kStageObserver);
     EXPECT_EQ(s.component_stage(3), Scheduler::kStageMedium);
@@ -102,7 +103,7 @@ TEST(Scheduler, StagesOverrideRegistrationOrderInBothPaths) {
 
 TEST(Scheduler, BatchedAdvancesNowEveryCycleAsSeenFromTicks) {
   // Components that sample now() mid-tick (latency bookkeeping does) must
-  // observe the same clock under both paths.
+  // observe the same clock in both modes.
   class NowSampler : public Clockable {
    public:
     explicit NowSampler(Scheduler& s) : s_(s) {}
@@ -112,21 +113,22 @@ TEST(Scheduler, BatchedAdvancesNowEveryCycleAsSeenFromTicks) {
    private:
     Scheduler& s_;
   };
-  Scheduler legacy(200e6), batched(200e6);
-  NowSampler nl(legacy), nb(batched);
-  legacy.add(nl, "n");
-  batched.add(nb, "n");
-  legacy.run_cycles(5);
-  batched.run_cycles_batched(5);
-  EXPECT_EQ(nl.seen, nb.seen);
-  EXPECT_EQ(nb.seen, (std::vector<Cycle>{0, 1, 2, 3, 4}));
+  Scheduler every_tick(200e6), skipping(200e6);
+  every_tick.set_idle_skip(false);
+  NowSampler ne(every_tick), ns(skipping);
+  every_tick.add(ne, "n");
+  skipping.add(ns, "n");
+  every_tick.run_cycles(5);
+  skipping.run_cycles(5);
+  EXPECT_EQ(ne.seen, ns.seen);
+  EXPECT_EQ(ns.seen, (std::vector<Cycle>{0, 1, 2, 3, 4}));
 }
 
 TEST(Scheduler, BatchedZeroCyclesIsANoop) {
   Scheduler s(200e6);
   Counter a;
   s.add(a, "a");
-  s.run_cycles_batched(0);
+  s.run_cycles(0);
   EXPECT_EQ(s.now(), 0u);
   EXPECT_EQ(a.ticks, 0u);
 }
@@ -415,60 +417,65 @@ class ScriptedProducer : public Clockable {
 };
 
 TEST(Quiescence, PeriodicWorkerSkipsButMatchesLegacyExactly) {
-  Scheduler legacy(200e6), batched(200e6);
-  PeriodicWorker wl(137), wb(137);
-  legacy.add(wl, "w");
-  batched.add(wb, "w");
-  legacy.run_cycles(10'000);
-  batched.run_cycles_batched(10'000);
-  EXPECT_EQ(wl.work_log, wb.work_log);
-  EXPECT_EQ(wl.clock(), wb.clock());
-  EXPECT_EQ(batched.now(), legacy.now());
-  EXPECT_GT(wb.skipped, 0u);                 // It really slept...
-  EXPECT_GT(batched.ticks_skipped(), 0u);    // ...through the wake-wheel...
-  EXPECT_GT(batched.cycles_fast_forwarded(), 0u);  // ...across global gaps.
-  EXPECT_LT(batched.ticks_executed(), 10'000u);
+  Scheduler every_tick(200e6), skipping(200e6);
+  every_tick.set_idle_skip(false);
+  PeriodicWorker we(137), ws(137);
+  every_tick.add(we, "w");
+  skipping.add(ws, "w");
+  every_tick.run_cycles(10'000);
+  skipping.run_cycles(10'000);
+  EXPECT_EQ(we.work_log, ws.work_log);
+  EXPECT_EQ(we.clock(), ws.clock());
+  EXPECT_EQ(skipping.now(), every_tick.now());
+  EXPECT_EQ(we.skipped, 0u);                  // The reference never slept...
+  EXPECT_GT(ws.skipped, 0u);                  // ...the skipping run did...
+  EXPECT_GT(skipping.ticks_skipped(), 0u);    // ...through the wake-wheel...
+  EXPECT_GT(skipping.cycles_fast_forwarded(), 0u);  // ...across global gaps.
+  EXPECT_LT(skipping.ticks_executed(), 10'000u);
 }
 
 TEST(Quiescence, WakeLandsOnTheLegacyCycleEitherSideOfTheProducer) {
-  // The consumer must observe a push in the same cycle as under the legacy
-  // path, whether its tick slot comes before or after the producer's.
+  // The consumer must observe a push in the same cycle as in every-tick
+  // mode, whether its tick slot comes before or after the producer's.
   for (const bool consumer_first : {true, false}) {
-    Scheduler legacy(200e6), batched(200e6);
-    MailboxConsumer cl, cb;
-    ScriptedProducer pl(cl, {100, 101, 500}), pb(cb, {100, 101, 500});
+    Scheduler every_tick(200e6), skipping(200e6);
+    every_tick.set_idle_skip(false);
+    MailboxConsumer ce, cs;
+    ScriptedProducer pe(ce, {100, 101, 500}), ps(cs, {100, 101, 500});
     if (consumer_first) {
-      legacy.add(cl, "c");
-      legacy.add(pl, "p");
-      batched.add(cb, "c");
-      batched.add(pb, "p");
+      every_tick.add(ce, "c");
+      every_tick.add(pe, "p");
+      skipping.add(cs, "c");
+      skipping.add(ps, "p");
     } else {
-      legacy.add(pl, "p");
-      legacy.add(cl, "c");
-      batched.add(pb, "p");
-      batched.add(cb, "c");
+      every_tick.add(pe, "p");
+      every_tick.add(ce, "c");
+      skipping.add(ps, "p");
+      skipping.add(cs, "c");
     }
-    legacy.run_cycles(1'000);
-    batched.run_cycles_batched(1'000);
-    EXPECT_EQ(cl.rx_log, cb.rx_log) << "consumer_first=" << consumer_first;
-    EXPECT_EQ(cl.clock(), cb.clock()) << "consumer_first=" << consumer_first;
+    every_tick.run_cycles(1'000);
+    skipping.run_cycles(1'000);
+    EXPECT_EQ(ce.rx_log, cs.rx_log) << "consumer_first=" << consumer_first;
+    EXPECT_EQ(ce.clock(), cs.clock()) << "consumer_first=" << consumer_first;
   }
 }
 
 TEST(Quiescence, SplitRunsMatchOneRun) {
-  // run_cycles_batched(a); run_cycles_batched(b) must equal one (a+b) run —
-  // the settle/re-partition at the boundary is what MultiScheduler strides
-  // rely on.
+  // run_cycles(a); run_cycles(b) with idle-skip must equal one every-tick
+  // (a+b) run — the settle/re-partition at the boundary is what
+  // MultiScheduler strides rely on.
   Scheduler one(200e6), split(200e6);
+  one.set_idle_skip(false);
   PeriodicWorker w1(97), w2(97);
   one.add(w1, "w");
   split.add(w2, "w");
-  one.run_cycles_batched(4'000);
-  split.run_cycles_batched(1'000);
-  split.run_cycles_batched(512);
-  split.run_cycles_batched(2'488);
+  one.run_cycles(4'000);
+  split.run_cycles(1'000);
+  split.run_cycles(512);
+  split.run_cycles(2'488);
   EXPECT_EQ(w1.work_log, w2.work_log);
   EXPECT_EQ(w1.clock(), w2.clock());
+  EXPECT_GT(w2.skipped, 0u);
 }
 
 TEST(Quiescence, IdleSkipDisabledTicksEverything) {
@@ -476,7 +483,7 @@ TEST(Quiescence, IdleSkipDisabledTicksEverything) {
   s.set_idle_skip(false);
   PeriodicWorker w(50);
   s.add(w, "w");
-  s.run_cycles_batched(1'000);
+  s.run_cycles(1'000);
   EXPECT_EQ(w.skipped, 0u);
   EXPECT_EQ(w.clock(), 1'000u);
   EXPECT_EQ(s.ticks_executed(), 1'000u);
@@ -486,32 +493,32 @@ TEST(Quiescence, NextWakeReportsTheEarliestRealTick) {
   Scheduler s(200e6);
   PeriodicWorker w(1'000);
   s.add(w, "w");
-  s.run_cycles_batched(100);  // Well inside the first idle stretch.
+  s.run_cycles(100);  // Well inside the first idle stretch.
   EXPECT_EQ(s.next_wake(), 1'000u);
   Scheduler busy(200e6);
   Counter c;  // Default contract: never quiescent.
   busy.add(c, "c");
-  busy.run_cycles_batched(100);
+  busy.run_cycles(100);
   EXPECT_EQ(busy.next_wake(), busy.now());
 }
 
 TEST(Quiescence, NextWakeRecomputedWhenIdleSkipTogglesMidRun) {
-  // The hint published at the end of a batched run was computed under the
+  // The hint published at the end of a run was computed under the
   // skip policy active then; flipping the policy must invalidate it at once.
   // A MultiScheduler consulting a stale far-future hint right after
   // set_idle_skip(false) would skip a lane that now needs every cycle ticked.
   Scheduler s(200e6);
   PeriodicWorker w(1'000);
   s.add(w, "w");
-  s.run_cycles_batched(100);  // Idle until cycle 1'000 under skipping.
+  s.run_cycles(100);  // Idle until cycle 1'000 under skipping.
   ASSERT_EQ(s.next_wake(), 1'000u);
   s.set_idle_skip(false);
   EXPECT_EQ(s.next_wake(), s.now());  // Collapsed, not stale.
-  s.run_cycles_batched(100);
+  s.run_cycles(100);
   EXPECT_EQ(s.next_wake(), s.now());  // Non-skipping runs pin it to now.
   s.set_idle_skip(true);
   EXPECT_EQ(s.next_wake(), s.now());  // Conservative until the next run...
-  s.run_cycles_batched(100);
+  s.run_cycles(100);
   EXPECT_EQ(s.next_wake(), 1'000u);  // ...which re-establishes the bound.
   EXPECT_EQ(w.clock(), 300u);  // And the worker stayed cycle-exact throughout.
 }
@@ -534,11 +541,91 @@ TEST(Quiescence, MultiSchedulerSkipsQuiescentLanesBitIdentically) {
     EXPECT_EQ(multi.lane_cycles(0), 100'000u);
     EXPECT_EQ(multi.lane_cycles(1), 100'000u);
     Scheduler ref(200e6);
+    ref.set_idle_skip(false);
     PeriodicWorker wr(40'000);
     ref.add(wr, "w");
-    ref.run_cycles_batched(100'000);
+    ref.run_cycles(100'000);
     EXPECT_EQ(w1.work_log, wr.work_log) << "workers=" << workers;
   }
+}
+
+TEST(Scheduler, RunUntilStopsOnTheSameCycleWithAndWithoutIdleSkip) {
+  // The predicate flips inside the worker's tick at cycle 1'000, right after
+  // a fast-forward across the idle stretch before it: run_until must stop
+  // on the cycle every-tick mode stops on, with the sleeper settled.
+  for (const bool idle_skip : {false, true}) {
+    Scheduler s(200e6);
+    s.set_idle_skip(idle_skip);
+    PeriodicWorker w(1'000), idle(50'000);
+    s.add(w, "w");
+    s.add(idle, "idle");
+    EXPECT_TRUE(s.run_until([&] { return !w.work_log.empty(); }, 10'000));
+    EXPECT_EQ(s.now(), 1'001u) << "idle_skip=" << idle_skip;
+    EXPECT_EQ(w.work_log, std::vector<Cycle>{1'000});
+    EXPECT_EQ(idle.clock(), s.now()) << "sleeper settled on return";
+    EXPECT_EQ(s.cycles_fast_forwarded() > 0, idle_skip);
+    // A predicate already true at entry runs nothing.
+    EXPECT_TRUE(s.run_until([] { return true; }, 10'000));
+    EXPECT_EQ(s.now(), 1'001u);
+  }
+
+  // The Testbench drivers end on the same cycle in both modes.
+  struct Outcome {
+    Cycle end_cycle;
+    double latency_us;
+    Cycle after_tx;
+    std::optional<Bytes> rx;
+    Cycle after_rx;
+  };
+  const auto drive = [](bool idle_skip) {
+    Testbench tb;
+    tb.scheduler().set_idle_skip(idle_skip);
+    const auto tx = tb.send_and_wait(Mode::A, Bytes(300, 0x5A));
+    EXPECT_TRUE(tx.success);
+    Outcome o{tx.end_cycle, tx.latency_us, tb.scheduler().now(), {}, 0};
+    o.rx = tb.inject_and_wait(Mode::B, Bytes(200, 0xA5), 1);
+    o.after_rx = tb.scheduler().now();
+    return o;
+  };
+  const Outcome every_tick = drive(false);
+  const Outcome skipping = drive(true);
+  EXPECT_EQ(every_tick.end_cycle, skipping.end_cycle);
+  EXPECT_EQ(every_tick.latency_us, skipping.latency_us);
+  EXPECT_EQ(every_tick.after_tx, skipping.after_tx);
+  ASSERT_TRUE(every_tick.rx.has_value());
+  EXPECT_EQ(every_tick.rx, skipping.rx);
+  EXPECT_EQ(every_tick.after_rx, skipping.after_rx);
+}
+
+TEST(Scheduler, AddDuringARunThrows) {
+  // The component array is frozen at run entry: a registration from inside
+  // a tick must fail loudly, in both modes.
+  class Registrar : public Clockable {
+   public:
+    Registrar(Scheduler& s, Clockable& late) : s_(s), late_(late) {}
+    void tick() override { s_.add(late_, "late"); }
+
+   private:
+    Scheduler& s_;
+    Clockable& late_;
+  };
+  for (const bool idle_skip : {false, true}) {
+    Scheduler s(200e6);
+    s.set_idle_skip(idle_skip);
+    Counter late;
+    Registrar r(s, late);
+    s.add(r, "registrar");
+    EXPECT_THROW(s.run_cycles(10), std::logic_error);
+  }
+  // Between runs registration stays legal.
+  Scheduler t(200e6);
+  Counter b, c;
+  t.add(b, "b");
+  t.run_cycles(5);
+  t.add(c, "c");
+  t.run_cycles(5);
+  EXPECT_EQ(b.ticks, 10u);
+  EXPECT_EQ(c.ticks, 5u);
 }
 
 }  // namespace

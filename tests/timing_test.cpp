@@ -21,10 +21,6 @@ Bytes payload(std::size_t n, u8 seed = 1) {
   return b;
 }
 
-ctrl::WifiCtrl& wifi(Testbench& tb) {
-  return static_cast<ctrl::WifiCtrl&>(tb.device().protocol_ctrl(Mode::A));
-}
-
 // ---------------------------------------------------------------------------
 // EIFS: the receive-quality reference on the medium.
 // ---------------------------------------------------------------------------
@@ -183,20 +179,14 @@ TEST(CfEndNav, GarbledCfEndDoesNotReset) {
 }
 
 // A deferrer sleeping against the reservation expiry must re-evaluate on the
-// CF-End wake edge: batched (quiescence-skipping) and legacy every-tick
-// execution must play the identical timeline through arm -> truncate ->
-// re-contend.
+// CF-End wake edge: idle-skip and every-tick execution must play the
+// identical timeline through arm -> truncate -> re-contend.
 TEST(CfEndNav, BatchedMatchesLegacyThroughNavTruncation) {
-  auto run = [](bool batched) {
+  auto run = [](bool idle_skip) {
     Testbench tb(nav_config());
+    tb.scheduler().set_idle_skip(idle_skip);
     const auto& id = tb.config().modes[0].ident;
-    auto step = [&](Cycle n) {
-      if (batched) {
-        tb.scheduler().run_cycles_batched(n);
-      } else {
-        tb.scheduler().run_cycles(n);
-      }
-    };
+    auto step = [&](Cycle n) { tb.run_cycles(n); };
     // Arm a reservation far longer than the workload needs, queue an MSDU
     // (it defers on the NAV), then truncate with CF-End and let it finish.
     const Bytes rts = mac::wifi::build_rts(mac::MacAddr::from_u64(0xDEADBEEF),
