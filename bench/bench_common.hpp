@@ -161,9 +161,10 @@ class Probe : public sim::Clockable {
     auto& tr = tb_.device().trace();
     auto& dev = tb_.device();
     tr.channel("cpu").record(now, dev.cpu().busy() ? 1 : 0);
-    tr.channel("bus").record(now, dev.bus().grant().kind == hw::PacketBus::MasterKind::None
+    const auto& grant = dev.bus().grant();
+    tr.channel("bus").record(now, grant.kind == hw::PacketBus::MasterKind::None
                                       ? 0
-                                      : static_cast<int>(index(grant_mode())) + 1);
+                                      : static_cast<int>(index(grant.mode)) + 1);
     for (const rfu::Rfu* r : dev.rfus()) {
       tr.channel("rfu." + r->name()).record(now, r->busy() ? (r->reconfiguring() ? 2 : 1) : 0);
     }
@@ -175,7 +176,6 @@ class Probe : public sim::Clockable {
       tr.channel("txbuf." + std::string(to_string(m)))
           .record(now, static_cast<i64>(dev.tx_buffer(m).depth()));
     }
-    tr.channel("eh").record(now, 0);  // Placeholder kept for channel ordering.
   }
 
   /// Registers the probe with the testbench scheduler.
@@ -187,10 +187,6 @@ class Probe : public sim::Clockable {
   }
 
  private:
-  Mode grant_mode() const {
-    const auto& g = tb_.device().bus().grant();
-    return g.kind == hw::PacketBus::MasterKind::Irc ? g.mode : g.mode;
-  }
   Testbench& tb_;
 };
 

@@ -55,9 +55,10 @@ struct DrmpConfig {
   /// instead of the oldest. Off (FCFS) in the thesis prototype.
   bool rfu_queue_priority = false;
   u16 backoff_seed = 0xACE1;
-  /// Per-cycle signal tracing (sim::TraceRecorder scopes). Fleet assemblers
-  /// set this false so devices are born muted — no trace-channel work ever
-  /// reaches the scheduler hot path, not even construction-time edges.
+  /// TH_R/TH_M scope channels in trace() (Figs. 5.5-5.7). Tracing never
+  /// changes the schedule; false wires the IRC to no recorder at all, so
+  /// fleets (which never read the channels) create none and retain no
+  /// events.
   bool trace_enabled = true;
   std::array<ModeConfig, kNumModes> modes{};
 

@@ -145,8 +145,6 @@ void PacketBus::arbitrate() {
 }
 
 Cycle PacketBus::quiescent_for() const {
-  if (recorder_ != nullptr) return 0;
-  if (trace_gate_ != nullptr && trace_gate_->enabled()) return 0;
   if (accessed_this_cycle_ || grant_.kind != MasterKind::None) return 0;
   for (const ModeRequest& r : requests_) {
     if (r.active) return 0;

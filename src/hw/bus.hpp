@@ -27,7 +27,6 @@
 #include "hw/trigger.hpp"
 #include "sim/scheduler.hpp"
 #include "sim/stats.hpp"
-#include "sim/trace.hpp"
 
 namespace drmp::hw {
 
@@ -93,14 +92,12 @@ class PacketBus : public sim::Clockable {
   // ---- Quiescence contract (sim/scheduler.hpp) ----
   /// Skippable while no request line is asserted and no grant is held (an
   /// idle tick is pure cycle accounting plus a no-op arbitrate). Request
-  /// lines wake the bus. Disabled while a transaction recorder or an enabled
-  /// trace recorder is attached: both consume total_cycles() from other
-  /// components' ticks, which a lazily-accounted bus would serve stale.
+  /// lines wake the bus before they reach an attached transaction recorder,
+  /// and the wake settles the skipped cycles first, so the recorder reads
+  /// an exact total_cycles(); reads, writes and releases happen only while
+  /// a grant keeps the bus awake.
   Cycle quiescent_for() const override;
   void skip_idle(Cycle n) override;
-  /// Trace recorder whose enabled() gates bus quiescence (see above);
-  /// wired by DrmpDevice, null = no gate.
-  void set_trace_gate(const sim::TraceRecorder* t) noexcept { trace_gate_ = t; }
 
   // ---- Instrumentation ----
   Cycle busy_cycles() const noexcept { return busy_cycles_; }
@@ -137,7 +134,6 @@ class PacketBus : public sim::Clockable {
   sim::StatsRegistry* stats_;
   sim::BusyCounter* busy_stat_ = nullptr;  ///< Cached per-tick stats sink.
   BusTraceRecorder* recorder_ = nullptr;
-  const sim::TraceRecorder* trace_gate_ = nullptr;
   RfuTriggerLogic triggers_;
 
   std::array<ModeRequest, kNumModes> requests_{};

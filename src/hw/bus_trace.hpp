@@ -29,6 +29,7 @@ struct BusTransaction {
   u32 words = 0;           ///< Word transfers performed during the tenure.
   bool touched_mem = false;  ///< Any access hit the packet memory.
   bool touched_rfu = false;  ///< Any access decoded as RFU trigger/argument.
+  bool operator==(const BusTransaction&) const = default;
 
   /// Cycles the master held the bus without moving a word (RFU-internal
   /// processing, trigger hand-off) — these do not shrink with bus width.

@@ -30,6 +30,7 @@ Irc::Irc(Env env) : env_(env) {
   th_env.handlers = &handlers_;
   th_env.stats = env_.stats;
   th_env.trace = env_.trace;
+  th_env.sched = env_.sched;
   for (std::size_t i = 0; i < kNumModes; ++i) {
     handler_storage_[i] = std::make_unique<TaskHandler>(mode_from_index(i), th_env);
     handlers_[i] = handler_storage_[i].get();
@@ -65,7 +66,6 @@ u32 Irc::submit(Mode mode, ServiceRequest req) {
 }
 
 Cycle Irc::quiescent_for() const {
-  if (env_.trace != nullptr && env_.trace->enabled()) return 0;
   for (std::size_t i = 0; i < kNumModes; ++i) {
     // A queued request is only actionable once its handler is idle, and a
     // handler goes idle inside complete_request — during an (awake) IRC

@@ -40,7 +40,9 @@ class Irc : public sim::Clockable {
     hw::PacketBus* bus = nullptr;
     hw::PacketMemory* mem = nullptr;  ///< Interface-register access (direct).
     sim::StatsRegistry* stats = nullptr;
+    /// TH_R/TH_M scope channels; null = untraced. Requires `sched`.
     sim::TraceRecorder* trace = nullptr;
+    const sim::Scheduler* sched = nullptr;  ///< Clock stamping trace events.
   };
 
   explicit Irc(Env env);
@@ -86,9 +88,9 @@ class Irc : public sim::Clockable {
   /// Wait4RfuDone / TriggerRcnfgWait / UseRcWait (an RFU's DONE/RDONE
   /// transition fires the completion waker installed by register_rfu). Any
   /// state polling an externally-paced condition — bus grants, table
-  /// mutexes — bounds the IRC to 0. Gated off while an attached trace
-  /// recorder is enabled: the task handlers record state channels against
-  /// the bus cycle counter, which lazy accounting would skew.
+  /// mutexes — bounds the IRC to 0. Scope tracing does not change the
+  /// bound: the task handlers stamp their state channels from the
+  /// scheduler clock, and a sleeping statechart has no change to record.
   Cycle quiescent_for() const override;
   void skip_idle(Cycle n) override;
 

@@ -39,6 +39,17 @@ const char* to_string(ThMState s) {
   return "?";
 }
 
+TaskHandler::TaskHandler(Mode mode, ThEnv env) : mode_(mode), env_(env) {
+  if (env_.trace == nullptr) return;
+  // Wired up front, not on the first tick: an idle IRC may sleep through its
+  // first cycles, and the initial state must still be the channels' first
+  // event, stamped as a tick of the current cycle would stamp it.
+  const std::string m = to_string(mode_);
+  sinks_.thr_chan = &env_.trace->channel("thr." + m);
+  sinks_.thm_chan = &env_.trace->channel("thm." + m);
+  record_states();
+}
+
 void TaskHandler::start(ServiceRequest req) {
   assert(!active_ && "task handler busy: In-Interface must queue requests");
   assert(!req.ops.empty());
@@ -114,11 +125,15 @@ void TaskHandler::ensure_sinks() {
     sinks_.thr_busy = &env_.stats->busy("irc.thr." + m);
     sinks_.thm_busy = &env_.stats->busy("irc.thm." + m);
   }
-  if (env_.trace != nullptr) {
-    sinks_.thr_chan = &env_.trace->channel("thr." + m);
-    sinks_.thm_chan = &env_.trace->channel("thm." + m);
-  }
   sinks_.ready = true;
+}
+
+void TaskHandler::record_states() {
+  // Stamped from the scheduler, not from a component's lazily accounted
+  // counter, so tracing never has to keep the IRC or the bus awake.
+  const Cycle at = env_.sched->now() + 1;
+  sinks_.thr_chan->record(at, static_cast<int>(thr_state_));
+  sinks_.thm_chan->record(at, static_cast<int>(thm_state_));
 }
 
 Cycle TaskHandler::quiescent_for_bound() const noexcept {
@@ -190,12 +205,8 @@ void TaskHandler::tick() {
     sinks_.thr_busy->sample(thr_state_ != ThRState::Idle);
     sinks_.thm_busy->sample(thm_state_ != ThMState::Idle);
   }
-  if (sinks_.thr_chan != nullptr) {
-    // Recorded every tick; the channel stores change events only.
-    const Cycle now = env_.bus->total_cycles();
-    sinks_.thr_chan->record(now, static_cast<int>(thr_state_));
-    sinks_.thm_chan->record(now, static_cast<int>(thm_state_));
-  }
+  // Recorded every executed tick; the channels store change events only.
+  if (sinks_.thr_chan != nullptr) record_states();
 }
 
 // --------------------------------------------------------------------- TH_R

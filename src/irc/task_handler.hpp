@@ -95,12 +95,14 @@ struct ThEnv {
   std::array<rfu::Rfu*, hw::kMaxRfus>* rfus = nullptr;
   std::array<TaskHandler*, kNumModes>* handlers = nullptr;  ///< WAKE routing.
   sim::StatsRegistry* stats = nullptr;
-  sim::TraceRecorder* trace = nullptr;
+  sim::TraceRecorder* trace = nullptr;    ///< Null = untraced.
+  const sim::Scheduler* sched = nullptr;  ///< Trace clock (with `trace`).
 };
 
 class TaskHandler : public sim::Clockable {
  public:
-  TaskHandler(Mode mode, ThEnv env) : mode_(mode), env_(env) {}
+  /// With a trace recorder, wires and records the initial thr/thm states.
+  TaskHandler(Mode mode, ThEnv env);
 
   Mode mode() const noexcept { return mode_; }
   bool idle() const noexcept { return !active_; }
@@ -157,6 +159,9 @@ class TaskHandler : public sim::Clockable {
 
  private:
   void ensure_sinks();
+  /// Records both statechart states, stamped sched->now() + 1: the cycle
+  /// a tick of the current cycle completes.
+  void record_states();
   void tick_thr();
   void tick_thm();
   /// TH_R finished preparing op `idx` (reconfig done or not needed).
@@ -191,7 +196,8 @@ class TaskHandler : public sim::Clockable {
   u32 pbus_seq_ = 0;
 
   // Cached per-tick instrumentation sinks (string-keyed lookups are far too
-  // hot for a per-cycle path).
+  // hot for a per-cycle path). The stats sinks resolve on first use, the
+  // trace channels in the constructor.
   struct Sinks {
     sim::StateOccupancy* thr_occ = nullptr;
     sim::StateOccupancy* thm_occ = nullptr;

@@ -6,7 +6,6 @@
 namespace drmp::sim {
 
 void TraceChannel::record(Cycle cycle, i64 value) {
-  if (!enabled_) return;
   if (!events_.empty() && events_.back().value == value) return;
   if (!events_.empty() && events_.back().cycle == cycle) {
     events_.back().value = value;
@@ -44,17 +43,7 @@ Cycle TraceChannel::active_cycles(Cycle from, Cycle to) const {
 }
 
 TraceChannel& TraceRecorder::channel(const std::string& name) {
-  auto it = channels_.find(name);
-  if (it == channels_.end()) {
-    it = channels_.emplace(name, TraceChannel{name}).first;
-    it->second.set_enabled(enabled_);
-  }
-  return it->second;
-}
-
-void TraceRecorder::set_enabled(bool v) {
-  enabled_ = v;
-  for (auto& [name, ch] : channels_) ch.set_enabled(v);
+  return channels_.try_emplace(name, name).first->second;
 }
 
 u64 TraceRecorder::dropped() const noexcept {

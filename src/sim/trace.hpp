@@ -17,6 +17,7 @@ namespace drmp::sim {
 struct TraceEvent {
   Cycle cycle;
   i64 value;
+  bool operator==(const TraceEvent&) const = default;
 };
 
 class TraceChannel {
@@ -34,11 +35,6 @@ class TraceChannel {
   /// Once `capacity()` change events are retained, further *new* events are
   /// dropped (counted in dropped()); same-cycle overwrites still apply.
   void record(Cycle cycle, i64 value);
-
-  /// A muted channel drops record() calls (fleet runs disable tracing so the
-  /// per-cycle hot path does no event-vector work).
-  void set_enabled(bool v) noexcept { enabled_ = v; }
-  bool enabled() const noexcept { return enabled_; }
 
   void set_capacity(std::size_t cap) noexcept {
     capacity_ = cap == 0 ? 1 : cap;
@@ -61,25 +57,15 @@ class TraceChannel {
   std::vector<TraceEvent> events_;
   std::size_t capacity_ = kDefaultCapacity;
   u64 dropped_ = 0;
-  bool enabled_ = true;
 };
 
+/// A set of named channels. An untraced component is wired to no recorder:
+/// it creates no channel and makes no record() call
+/// (DrmpConfig::trace_enabled).
 class TraceRecorder {
  public:
-  TraceRecorder() = default;
-  /// Constructs with tracing already on or off: fleet paths build their
-  /// devices muted from the first cycle instead of muting after the fact
-  /// (which used to let construction-time edges slip into the buffers).
-  explicit TraceRecorder(bool enabled) : enabled_(enabled) {}
-
   /// Returns (creating on first use) the channel with the given name.
   TraceChannel& channel(const std::string& name);
-
-  /// Mutes / unmutes every existing and future channel. Fleet simulations
-  /// disable their per-device recorders: with dozens of devices the trace
-  /// event vectors are pure overhead on the batched hot path.
-  void set_enabled(bool v);
-  bool enabled() const noexcept { return enabled_; }
 
   bool has_channel(const std::string& name) const { return channels_.count(name) != 0; }
 
@@ -102,7 +88,6 @@ class TraceRecorder {
 
  private:
   std::map<std::string, TraceChannel> channels_;
-  bool enabled_ = true;
 };
 
 }  // namespace drmp::sim

@@ -212,51 +212,81 @@ TEST(ReplayTest, LabelsAndWireCosts) {
 // Live-capture integration: record a real three-mode run, replay it.
 // ---------------------------------------------------------------------------
 
-TEST(InterconnectLiveTest, RecorderCapturesRealRunAndReplayIsConsistent) {
-  Testbench tb;
+struct LiveCapture {
+  std::vector<BusTransaction> transactions;
+  Cycle bus_cycles = 0;
+  Cycle busy_cycles = 0;
+  u64 ticks_executed = 0;
+};
+
+// One 700 B MSDU transmitted on every mode at once, with the recorder
+// attached (or, with `recorder` false, nothing attached). The scope trace
+// is off, so the recorder is the only instrumentation in the run.
+LiveCapture capture_three_mode_run(bool idle_skip, bool recorder) {
+  DrmpConfig cfg = DrmpConfig::standard_three_mode();
+  cfg.trace_enabled = false;
+  Testbench tb(cfg);
+  tb.scheduler().set_idle_skip(idle_skip);
   BusTraceRecorder rec;
-  tb.device().bus().attach_recorder(&rec);
+  if (recorder) tb.device().bus().attach_recorder(&rec);
 
   Bytes payload(700);
   for (std::size_t i = 0; i < payload.size(); ++i) payload[i] = static_cast<u8>(i);
   tb.send_async(Mode::A, payload);
   tb.send_async(Mode::B, payload);
   tb.send_async(Mode::C, payload);
-  ASSERT_TRUE(tb.wait_tx_count(Mode::A, 1, 600'000'000));
-  ASSERT_TRUE(tb.wait_tx_count(Mode::B, 1, 600'000'000));
-  ASSERT_TRUE(tb.wait_tx_count(Mode::C, 1, 600'000'000));
-  rec.finish(tb.device().bus().total_cycles());
+  EXPECT_TRUE(tb.wait_tx_count(Mode::A, 1, 600'000'000));
+  EXPECT_TRUE(tb.wait_tx_count(Mode::B, 1, 600'000'000));
+  EXPECT_TRUE(tb.wait_tx_count(Mode::C, 1, 600'000'000));
+  const PacketBus& bus = tb.device().bus();
+  rec.finish(bus.total_cycles());
+  return {rec.transactions(), bus.total_cycles(), bus.busy_cycles(),
+          tb.scheduler().profile().ticks_executed};
+}
 
-  ASSERT_GT(rec.size(), 10u) << "expected many bus tenures in a 3-mode run";
+TEST(InterconnectLiveTest, RecorderCapturesRealRunAndReplayIsConsistent) {
+  const LiveCapture live = capture_three_mode_run(/*idle_skip=*/true, /*recorder=*/true);
+  ASSERT_GT(live.transactions.size(), 10u) << "expected many bus tenures in a 3-mode run";
 
   // Every mode contributed transactions, and recorded words match the bus's
   // own busy accounting (each busy cycle is exactly one word transfer).
   u64 words = 0;
   bool seen[kNumModes] = {};
-  for (const auto& t : rec.transactions()) {
+  for (const auto& t : live.transactions) {
     words += t.words;
     seen[index(t.mode)] = true;
     EXPECT_GE(t.first_access, t.request);
     EXPECT_GE(t.last_access, t.first_access);
   }
   EXPECT_TRUE(seen[0] && seen[1] && seen[2]);
-  EXPECT_EQ(words, tb.device().bus().busy_cycles());
+  EXPECT_EQ(words, live.busy_cycles);
+
+  // The recorder is passive: an idle bus still sleeps with it attached, yet
+  // the capture equals the every-tick reference's transaction for
+  // transaction, and the schedule equals the unrecorded run's.
+  const LiveCapture every_tick = capture_three_mode_run(/*idle_skip=*/false, /*recorder=*/true);
+  ASSERT_EQ(every_tick.transactions.size(), live.transactions.size());
+  for (std::size_t i = 0; i < live.transactions.size(); ++i) {
+    EXPECT_EQ(every_tick.transactions[i], live.transactions[i]) << "transaction " << i;
+  }
+  EXPECT_EQ(capture_three_mode_run(/*idle_skip=*/true, /*recorder=*/false).ticks_executed,
+            live.ticks_executed);
 
   // Replaying the capture on the single-bus model reproduces per-flow hold
   // exactly (hold = words + stall by construction) and a makespan consistent
   // with the live run.
-  const auto flows = to_flow_trace(rec.transactions());
+  const auto flows = to_flow_trace(live.transactions);
   const auto res = replay_interconnect(flows, {});
   for (std::size_t i = 0; i < kNumModes; ++i) {
     Cycle expect_hold = 0;
-    for (const auto& t : rec.transactions()) {
+    for (const auto& t : live.transactions) {
       if (index(t.mode) == i) {
         expect_hold += std::max<Cycle>(1, std::max<u32>(1, t.words) + t.stall_cycles());
       }
     }
     EXPECT_EQ(res.flows[i].hold, expect_hold);
   }
-  EXPECT_LE(res.makespan, tb.device().bus().total_cycles() * 11 / 10);
+  EXPECT_LE(res.makespan, live.bus_cycles * 11 / 10);
 
   // A 3-bus network removes all cross-mode contention on this workload.
   InterconnectSpec multi;

@@ -1,11 +1,16 @@
 // Full-system integration tests: the scenarios of thesis Ch. 5 — packet
 // transmission and reception, single mode and three concurrent modes, with
 // the interrupt-driven CPU, the Event Handler's autonomous receive path, the
-// AckRfu's SIFS-bounded acknowledgements, retries, and the WiMAX
-// packing/ARQ machinery.
+// AckRfu's SIFS-bounded acknowledgements, retries, the WiMAX packing/ARQ
+// machinery, and the TH_R/TH_M scope traces (Figs. 5.5-5.7), which never
+// change the schedule.
 #include <gtest/gtest.h>
 
+#include <array>
 #include <cmath>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "baseline/conventional.hpp"
 #include "drmp/testbench.hpp"
@@ -348,6 +353,80 @@ TEST(SystemThreeModes, PriorityOptionsPreserveCorrectness) {
   EXPECT_EQ(tb.tx_successes(Mode::A), 2u);
   EXPECT_EQ(tb.tx_successes(Mode::B), 2u);
   EXPECT_EQ(tb.tx_successes(Mode::C), 2u);
+}
+
+// ------------------------------------------ scope traces (Figs. 5.5-5.7)
+
+struct ScopeRun {
+  Cycle end = 0;
+  u64 ticks_executed = 0;
+  std::vector<double> tx_latencies_us;
+  std::vector<Bytes> delivered;
+  std::vector<std::string> channel_names;
+  std::map<std::string, std::vector<sim::TraceEvent>> th_channels;  ///< thr.* / thm.*
+};
+
+// One MSDU transmitted on every mode at once, then one received per mode.
+ScopeRun run_three_mode_tx_rx(bool trace, bool idle_skip) {
+  DrmpConfig cfg = DrmpConfig::standard_three_mode();
+  cfg.trace_enabled = trace;
+  Testbench tb(cfg);
+  tb.scheduler().set_idle_skip(idle_skip);
+  const std::array<Mode, kNumModes> modes = {Mode::A, Mode::B, Mode::C};
+  for (Mode m : modes) tb.send_async(m, payload(600, static_cast<u8>(index(m) + 1)));
+  for (Mode m : modes) EXPECT_TRUE(tb.wait_tx_count(m, 1, 400'000'000));
+  ScopeRun r;
+  for (Mode m : modes) {
+    const auto got =
+        tb.inject_and_wait(m, payload(400, static_cast<u8>(index(m) + 10)), 1, 80'000'000);
+    EXPECT_TRUE(got.has_value());
+    r.delivered.push_back(got.value_or(Bytes{}));
+    const auto& lat = tb.tx_latencies_us(m);
+    r.tx_latencies_us.insert(r.tx_latencies_us.end(), lat.begin(), lat.end());
+  }
+  r.end = tb.scheduler().now();
+  r.ticks_executed = tb.scheduler().profile().ticks_executed;
+  const sim::TraceRecorder& tr = tb.device().trace();
+  r.channel_names = tr.channel_names();
+  for (Mode m : modes) {
+    for (const char* chart : {"thr.", "thm."}) {
+      const std::string name = chart + std::string(to_string(m));
+      if (tr.has_channel(name)) r.th_channels[name] = tr.channel_const(name).events();
+    }
+  }
+  return r;
+}
+
+TEST(ScopeTrace, TracingNeverChangesTheScheduleAndMatchesEveryTick) {
+  const ScopeRun on = run_three_mode_tx_rx(/*trace=*/true, /*idle_skip=*/true);
+  const ScopeRun off = run_three_mode_tx_rx(/*trace=*/false, /*idle_skip=*/true);
+  const ScopeRun every_tick = run_three_mode_tx_rx(/*trace=*/true, /*idle_skip=*/false);
+
+  // Switching the scope trace on executes exactly the untraced schedule.
+  EXPECT_EQ(on.ticks_executed, off.ticks_executed);
+  EXPECT_EQ(on.end, off.end);
+  EXPECT_EQ(on.end, every_tick.end);
+
+  // Stamped from the scheduler clock, the statechart channels of the skipping
+  // run are event-for-event those of the every-tick reference.
+  ASSERT_EQ(on.th_channels.size(), 2 * kNumModes);
+  for (const auto& [name, events] : on.th_channels) {
+    ASSERT_TRUE(every_tick.th_channels.count(name)) << name;
+    EXPECT_EQ(events, every_tick.th_channels.at(name)) << name;
+    ASSERT_GE(events.size(), 3u) << name << ": expected real statechart activity";
+    EXPECT_EQ(events.front().cycle, 1u) << name << ": initial state stamped at cycle 1";
+  }
+  EXPECT_EQ(on.th_channels.at("thr.A").front().value, static_cast<int>(irc::ThRState::Idle));
+}
+
+TEST(ScopeTrace, UntracedDeviceCreatesNoChannelsAndRunsTheSame) {
+  const ScopeRun traced = run_three_mode_tx_rx(/*trace=*/true, /*idle_skip=*/true);
+  const ScopeRun untraced = run_three_mode_tx_rx(/*trace=*/false, /*idle_skip=*/true);
+  EXPECT_TRUE(untraced.channel_names.empty());
+  EXPECT_FALSE(traced.channel_names.empty());
+  EXPECT_EQ(untraced.end, traced.end);
+  EXPECT_EQ(untraced.tx_latencies_us, traced.tx_latencies_us);
+  EXPECT_EQ(untraced.delivered, traced.delivered);
 }
 
 }  // namespace
