@@ -15,17 +15,27 @@ int main() {
   const Cycle t1 = tb.scheduler().now();
   print_busy_table(tb, t0, t1, "3-mode transmission (1000 B per mode)");
 
-  // IRC controllers (busy = non-IDLE), from the statistics registry.
-  const auto& busy = tb.device().stats().all_busy();
+  // IRC controllers (busy = non-IDLE cycles of each controller's own
+  // state-occupancy histogram), then the CPU's own counter.
   const auto& tbase = tb.device().timebase();
   est::Table t({"IRC controller", "Busy (us)", "Busy (%)"});
-  for (const auto& name : {"irc.thm.A", "irc.thm.B", "irc.thm.C", "irc.thr.A",
-                           "irc.thr.B", "irc.thr.C", "irc.rc", "cpu"}) {
-    auto it = busy.find(name);
-    if (it == busy.end()) continue;
-    t.add_row({name, est::Table::num(tbase.cycles_to_us(it->second.busy_cycles()), 1),
-               est::Table::num(100.0 * it->second.busy_fraction(), 3)});
+  const auto row = [&](const std::string& name, Cycle busy, double fraction) {
+    t.add_row({name, est::Table::num(tbase.cycles_to_us(busy), 1),
+               est::Table::num(100.0 * fraction, 3)});
+  };
+  const auto occupancy_row = [&](const std::string& name, const sim::StateOccupancy& o) {
+    const Cycle busy = o.total() - o.cycles_in(0);  // State 0 is Idle.
+    row(name, busy, static_cast<double>(busy) / static_cast<double>(o.total()));
+  };
+  irc::Irc& irc = tb.device().irc();
+  for (const Mode m : {Mode::A, Mode::B, Mode::C}) {
+    occupancy_row(std::string("irc.thm.") + to_string(m), irc.handler(m).thm_occupancy());
   }
+  for (const Mode m : {Mode::A, Mode::B, Mode::C}) {
+    occupancy_row(std::string("irc.thr.") + to_string(m), irc.handler(m).thr_occupancy());
+  }
+  occupancy_row("irc.rc", irc.rc().occupancy());
+  row("cpu", tb.device().cpu().busy_cycles(), tb.device().cpu().busy_fraction());
   std::cout << "\n";
   t.print(std::cout);
   std::cout << "\nReading: every entity is busy for a small fraction of the "

@@ -48,13 +48,7 @@ Cycle CpuModel::quiescent_for() const {
   return due > now_ ? due - now_ : 0;
 }
 
-void CpuModel::skip_idle(Cycle n) {
-  if (stats_ != nullptr) {
-    if (busy_stat_ == nullptr) busy_stat_ = &stats_->busy("cpu");
-    busy_stat_->sample_n(false, n);
-  }
-  now_ += n;
-}
+void CpuModel::skip_idle(Cycle n) { now_ += n; }
 
 std::size_t CpuModel::best_pending() const {
   std::size_t best = pending_.size();
@@ -97,10 +91,6 @@ void CpuModel::tick() {
   }
 
   const bool was_busy = busy();
-  if (stats_ != nullptr) {
-    if (busy_stat_ == nullptr) busy_stat_ = &stats_->busy("cpu");
-    busy_stat_->sample(was_busy);
-  }
   if (was_busy) {
     ++busy_cycles_;
     if (running_) ++mode_cycles_[index(*running_)];

@@ -7,6 +7,7 @@
 // context-switch overhead plus the instructions the handler reports, scaled
 // by the CPU:architecture clock ratio, so the experiments can show that a
 // slow-clocked CPU keeps up with three concurrent protocol streams (§5.5.5).
+// busy_cycles()/busy_fraction() are the CPU's one busy account (Table 5.1).
 #pragma once
 
 #include <array>
@@ -18,7 +19,6 @@
 #include "common/types.hpp"
 #include "sim/clock.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/stats.hpp"
 
 namespace drmp::cpu {
 
@@ -106,14 +106,12 @@ class CpuModel : public sim::Clockable {
   /// Mode of the handler currently executing, if any.
   std::optional<Mode> running_mode() const noexcept { return running_; }
 
-  void attach_stats(sim::StatsRegistry* stats) { stats_ = stats; }
-
   const Config& config() const noexcept { return cfg_; }
 
   /// Checkpoint support (sim/checkpoint.hpp). The timer min-heap vector
   /// travels verbatim — heap layout is deterministic for a given arm/cancel
   /// history, so restoring it byte-for-byte preserves pop order. Handlers
-  /// and stats sinks are wiring.
+  /// are wiring.
   template <class Ar>
   void persist(Ar& ar) {
     ar.io(now_);
@@ -205,9 +203,6 @@ class CpuModel : public sim::Clockable {
   std::deque<PendingIsr> pending_;
   std::vector<Timer> timers_;  ///< Min-heap on (fire_at, seq); see Timer.
   u64 timer_seq_ = 0;
-  sim::StatsRegistry* stats_ = nullptr;
-  /// Cached stats sink (string-keyed lookup is too hot for the tick path).
-  sim::BusyCounter* busy_stat_ = nullptr;
 };
 
 }  // namespace drmp::cpu

@@ -92,12 +92,11 @@ DrmpConfig DrmpConfig::for_station(int station_id) const {
 DrmpDevice::DrmpDevice(sim::Scheduler& sched, DrmpConfig cfg, int station_id)
     : cfg_(std::move(cfg)), station_id_(station_id), tb_(cfg_.arch_freq_hz),
       sched_(&sched) {
-  bus_ = std::make_unique<hw::PacketBus>(mem_, &stats_);
+  bus_ = std::make_unique<hw::PacketBus>(mem_);
 
   irc::Irc::Env irc_env;
   irc_env.bus = bus_.get();
   irc_env.mem = &mem_;
-  irc_env.stats = &stats_;
   irc_env.trace = cfg_.trace_enabled ? &trace_ : nullptr;
   irc_env.sched = &sched;
   irc_ = std::make_unique<irc::Irc>(irc_env);
@@ -110,7 +109,6 @@ DrmpDevice::DrmpDevice(sim::Scheduler& sched, DrmpConfig cfg, int station_id)
   cpu_cfg.arch_freq_hz = cfg_.arch_freq_hz;
   cpu_cfg.preemptive = cfg_.cpu_preemptive;
   cpu_ = std::make_unique<cpu::CpuModel>(cpu_cfg);
-  cpu_->attach_stats(&stats_);
 
   api_ = std::make_unique<api::cDRMP>(&mem_);
 
@@ -128,7 +126,6 @@ DrmpDevice::DrmpDevice(sim::Scheduler& sched, DrmpConfig cfg, int station_id)
     eh_env.nav[i] = &navs_[i];
   }
   eh_env.tb = &tb_;
-  eh_env.stats = &stats_;
   event_handler_ = std::make_unique<EventHandler>(eh_env);
   event_handler_->raise_irq = [this](Mode m, irc::IrqEvent ev, Word param) {
     irc_->irq_raise(m, ev, param);  // Memory-mapped source registers.
@@ -241,7 +238,6 @@ void DrmpDevice::build_rfus(sim::Scheduler& /*sched*/) {
   rfu::Rfu::Env env;
   env.bus = bus_.get();
   env.rmem = &rmem_;
-  env.stats = &stats_;
   env.timebase = &tb_;
 
   crypto_ = std::make_unique<rfu::CryptoRfu>(env);
@@ -330,9 +326,6 @@ void DrmpDevice::persist_device(Ar& ar) {
   using sim::snap::open_record;
   open_record(ar, "mem");
   ar.io(mem_);
-  close_record(ar);
-  open_record(ar, "stats");
-  ar.io(stats_);
   close_record(ar);
   open_record(ar, "bus");
   ar.io(*bus_);

@@ -34,7 +34,6 @@
 #include "rfu/seq_rfu.hpp"
 #include "rfu/tx_rfu.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/stats.hpp"
 #include "sim/trace.hpp"
 
 namespace drmp {
@@ -97,7 +96,6 @@ class DrmpDevice {
   EventHandler& event_handler() { return *event_handler_; }
   api::cDRMP& api() { return *api_; }
   ctrl::ProtocolCtrl& protocol_ctrl(Mode m) { return *ctrls_[index(m)]; }
-  sim::StatsRegistry& stats() { return stats_; }
   sim::TraceRecorder& trace() { return trace_; }
   const sim::TimeBase& timebase() const { return tb_; }
   const DrmpConfig& config() const { return cfg_; }
@@ -136,7 +134,7 @@ class DrmpDevice {
 
   // ---- Checkpoint support (sim/checkpoint.hpp) ----
   /// Serializes every mutable component of the SoC as nested named records
-  /// (memory, stats, bus, IRC complex, CPU, API, event handler, PHY side,
+  /// (memory, bus, IRC complex, CPU, API, event handler, PHY side,
   /// RFU pool, protocol controls). Legal only at a quiescent round edge;
   /// the shared medium is checkpointed by the owning Cell, not here.
   void save_state(sim::snap::Writer& w);
@@ -151,7 +149,6 @@ class DrmpDevice {
   DrmpConfig cfg_;
   int station_id_;
   sim::TimeBase tb_;
-  sim::StatsRegistry stats_;
   sim::TraceRecorder trace_;
 
   hw::PacketMemory mem_;

@@ -356,24 +356,9 @@ Cycle EventHandler::quiescent_for() const {
   return kIdleForever;
 }
 
-void EventHandler::skip_idle(Cycle n) {
-  // Replays the per-mode sampling of n constant-state ticks.
-  for (std::size_t i = 0; i < kNumModes; ++i) {
-    if (!env_.enabled[i]) continue;
-    if (env_.stats != nullptr) {
-      if (busy_stat_ == nullptr) busy_stat_ = &env_.stats->busy("event_handler");
-      busy_stat_->sample_n(st_[i] != St::Idle, n);
-    }
-  }
-}
-
 void EventHandler::tick() {
   for (std::size_t i = 0; i < kNumModes; ++i) {
     if (!env_.enabled[i]) continue;
-    if (env_.stats != nullptr) {
-      if (busy_stat_ == nullptr) busy_stat_ = &env_.stats->busy("event_handler");
-      busy_stat_->sample(st_[i] != St::Idle);
-    }
     if (st_[i] == St::Idle && env_.rx_bufs[i] != nullptr &&
         env_.rx_bufs[i]->frame_ready()) {
       submit_drain(mode_from_index(i));

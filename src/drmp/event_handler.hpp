@@ -36,7 +36,6 @@ class EventHandler : public sim::Clockable {
     /// duration fields of overheard frames when ident.nav_enabled.
     std::array<mac::NavTimer*, kNumModes> nav{};
     const sim::TimeBase* tb = nullptr;
-    sim::StatsRegistry* stats = nullptr;
   };
 
   explicit EventHandler(Env env) : env_(std::move(env)) {}
@@ -61,7 +60,6 @@ class EventHandler : public sim::Clockable {
   /// Frame deliveries (RxBuffer wake hook, wired by DrmpDevice), request
   /// completions and Rx-page releases wake it.
   Cycle quiescent_for() const override;
-  void skip_idle(Cycle n) override;
 
   u32 rx_bad_frames(Mode m) const { return bad_[index(m)]; }
   u32 rx_acks_generated(Mode m) const { return acked_[index(m)]; }
@@ -86,8 +84,7 @@ class EventHandler : public sim::Clockable {
   void rx_snoop(Mode m, const Bytes& frame);
 
   /// Checkpoint support (sim/checkpoint.hpp): the per-mode statecharts,
-  /// request tags and counters. The env wiring and sink cache persist as
-  /// wiring.
+  /// request tags and counters. The env is wiring.
   template <class Ar>
   void persist(Ar& ar) {
     ar.io(st_);
@@ -118,7 +115,6 @@ class EventHandler : public sim::Clockable {
   std::array<u32, kNumModes> acked_{};
   std::array<u32, kNumModes> handled_{};
   std::array<u32, kNumModes> cts_{};
-  sim::BusyCounter* busy_stat_ = nullptr;  ///< Cached per-tick stats sink.
 };
 
 }  // namespace drmp

@@ -2,8 +2,7 @@
 
 namespace drmp::hw {
 
-PacketBus::PacketBus(PacketMemory& mem, sim::StatsRegistry* stats)
-    : mem_(mem), stats_(stats) {}
+PacketBus::PacketBus(PacketMemory& mem) : mem_(mem) {}
 
 void PacketBus::request_for_irc(Mode m) {
   wake_self();  // An asserted request line re-enters arbitration next tick.
@@ -152,22 +151,12 @@ Cycle PacketBus::quiescent_for() const {
   return sim::Clockable::kIdleForever;
 }
 
-void PacketBus::skip_idle(Cycle n) {
-  total_cycles_ += n;
-  if (stats_ != nullptr) {
-    if (busy_stat_ == nullptr) busy_stat_ = &stats_->busy("packet_bus");
-    busy_stat_->sample_n(false, n);
-  }
-}
+void PacketBus::skip_idle(Cycle n) { total_cycles_ += n; }
 
 void PacketBus::tick() {
   // Account the cycle that just completed.
   ++total_cycles_;
   if (accessed_this_cycle_) ++busy_cycles_;
-  if (stats_ != nullptr) {
-    if (busy_stat_ == nullptr) busy_stat_ = &stats_->busy("packet_bus");
-    busy_stat_->sample(accessed_this_cycle_);
-  }
   accessed_this_cycle_ = false;
 
   arbitrate();

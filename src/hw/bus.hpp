@@ -14,6 +14,9 @@
 //     the reserved override address with a slave RFU id to hand the bus over,
 //     and the slave writes it again to hand it back. "Only the RFU that
 //     already has access to the bus can override the grant."
+//
+// The bus keeps the one account of its own activity: busy_cycles() (cycles
+// with a transaction) over total_cycles(), Table 5.1's packet-bus row.
 #pragma once
 
 #include <array>
@@ -26,7 +29,6 @@
 #include "hw/packet_memory.hpp"
 #include "hw/trigger.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/stats.hpp"
 
 namespace drmp::hw {
 
@@ -61,7 +63,7 @@ class PacketBus : public sim::Clockable {
     }
   };
 
-  PacketBus(PacketMemory& mem, sim::StatsRegistry* stats);
+  explicit PacketBus(PacketMemory& mem);
 
   // ---- Request lines (driven by the mode task handlers) ----
   void request_for_irc(Mode m);
@@ -111,8 +113,8 @@ class PacketBus : public sim::Clockable {
   void attach_recorder(BusTraceRecorder* r) noexcept { recorder_ = r; }
 
   /// Checkpoint support (sim/checkpoint.hpp). The arbiter state machine,
-  /// the trigger latches and every cycle counter travel; the memory, stats
-  /// sinks and recorders are wiring owned elsewhere.
+  /// the trigger latches and every cycle counter travel; the memory and the
+  /// recorder are wiring owned elsewhere.
   template <class Ar>
   void persist(Ar& ar) {
     ar.io(triggers_);
@@ -131,8 +133,6 @@ class PacketBus : public sim::Clockable {
   void arbitrate();
 
   PacketMemory& mem_;
-  sim::StatsRegistry* stats_;
-  sim::BusyCounter* busy_stat_ = nullptr;  ///< Cached per-tick stats sink.
   BusTraceRecorder* recorder_ = nullptr;
   RfuTriggerLogic triggers_;
 

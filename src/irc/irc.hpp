@@ -9,6 +9,10 @@
 // ("A service request to the IRC can thus originate from either the CPU or
 // the Event-handler. The source of the request is transparent to the IRC",
 // §3.6.6).
+//
+// Each controller owns its state-occupancy histogram (Fig. 5.12), reached as
+// handler(m).thr_occupancy()/thm_occupancy() and rc().occupancy(); the
+// non-Idle share is Table 5.1's IRC busy time.
 #pragma once
 
 #include <array>
@@ -20,7 +24,6 @@
 #include "hw/packet_memory.hpp"
 #include "irc/reconf_controller.hpp"
 #include "irc/task_handler.hpp"
-#include "sim/stats.hpp"
 #include "sim/trace.hpp"
 
 namespace drmp::irc {
@@ -39,7 +42,6 @@ class Irc : public sim::Clockable {
   struct Env {
     hw::PacketBus* bus = nullptr;
     hw::PacketMemory* mem = nullptr;  ///< Interface-register access (direct).
-    sim::StatsRegistry* stats = nullptr;
     /// TH_R/TH_M scope channels; null = untraced. Requires `sched`.
     sim::TraceRecorder* trace = nullptr;
     const sim::Scheduler* sched = nullptr;  ///< Clock stamping trace events.

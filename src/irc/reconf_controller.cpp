@@ -16,26 +16,10 @@ bool ReconfController::take_done(Mode mode) {
   return true;
 }
 
-void ReconfController::skip_idle(Cycle n) {
-  if (env_.stats != nullptr) {
-    if (busy_stat_ == nullptr) {
-      busy_stat_ = &env_.stats->busy("irc.rc");
-      occ_stat_ = &env_.stats->occupancy("irc.rc");
-    }
-    busy_stat_->sample_n(state_ != State::Idle, n);
-    occ_stat_->sample_n(static_cast<int>(state_), n);
-  }
-}
+void ReconfController::skip_idle(Cycle n) { occ_.sample_n(static_cast<int>(state_), n); }
 
 void ReconfController::tick() {
-  if (env_.stats != nullptr) {
-    if (busy_stat_ == nullptr) {
-      busy_stat_ = &env_.stats->busy("irc.rc");
-      occ_stat_ = &env_.stats->occupancy("irc.rc");
-    }
-    busy_stat_->sample(state_ != State::Idle);
-    occ_stat_->sample(static_cast<int>(state_));
-  }
+  occ_.sample(static_cast<int>(state_));
 
   switch (state_) {
     case State::Idle: {

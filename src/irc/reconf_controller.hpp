@@ -2,7 +2,8 @@
 // one instance of this controller in the IRC because only one RFU can be
 // configured at a time." It triggers an RFU to switch configuration (the
 // CS/MA mechanism is transparent to it), waits for RDONE, then updates the
-// rfu_table.
+// rfu_table. It keeps its own state-occupancy histogram (occupancy()); the
+// non-Idle share is its Table 5.1 busy time.
 #pragma once
 
 #include <array>
@@ -26,7 +27,6 @@ class ReconfController : public sim::Clockable {
     TableMutex* oct_mutex = nullptr;
     TableMutex* rfut_mutex = nullptr;
     std::array<rfu::Rfu*, hw::kMaxRfus>* rfus = nullptr;
-    sim::StatsRegistry* stats = nullptr;
   };
 
   explicit ReconfController(Env env) : env_(env) {}
@@ -43,6 +43,9 @@ class ReconfController : public sim::Clockable {
 
   State state() const noexcept { return state_; }
   u64 reconfigs_performed() const noexcept { return count_; }
+  /// Cycles spent in each statechart state, sampled at the start of every
+  /// tick (before its transition). Busy = total() minus Idle.
+  const sim::StateOccupancy& occupancy() const noexcept { return occ_; }
   void tick() override;
 
   /// True when a tick is pure statistics sampling (Irc-level quiescence).
@@ -86,6 +89,7 @@ class ReconfController : public sim::Clockable {
     ar.io(done_);
     ar.io(serving_);
     ar.io(count_);
+    ar.io(occ_);
   }
 
  private:
@@ -106,9 +110,7 @@ class ReconfController : public sim::Clockable {
   std::array<bool, kNumModes> done_{};
   Mode serving_ = Mode::A;
   u64 count_ = 0;
-  /// Cached stats sinks (string-keyed lookup is too hot for the tick path).
-  sim::BusyCounter* busy_stat_ = nullptr;
-  sim::StateOccupancy* occ_stat_ = nullptr;
+  sim::StateOccupancy occ_;
 };
 
 }  // namespace drmp::irc

@@ -45,8 +45,8 @@ TaskHandler::TaskHandler(Mode mode, ThEnv env) : mode_(mode), env_(env) {
   // first cycles, and the initial state must still be the channels' first
   // event, stamped as a tick of the current cycle would stamp it.
   const std::string m = to_string(mode_);
-  sinks_.thr_chan = &env_.trace->channel("thr." + m);
-  sinks_.thm_chan = &env_.trace->channel("thm." + m);
+  thr_chan_ = &env_.trace->channel("thr." + m);
+  thm_chan_ = &env_.trace->channel("thm." + m);
   record_states();
 }
 
@@ -114,26 +114,12 @@ void TaskHandler::complete_request() {
   if (on_complete) on_complete(mode_, req_);
 }
 
-void TaskHandler::ensure_sinks() {
-  if (sinks_.ready) return;
-  // One-time sink resolution: string-keyed lookups are too hot for the
-  // per-cycle path (they dominated simulation wall time).
-  const std::string m = to_string(mode_);
-  if (env_.stats != nullptr) {
-    sinks_.thr_occ = &env_.stats->occupancy("irc.thr." + m);
-    sinks_.thm_occ = &env_.stats->occupancy("irc.thm." + m);
-    sinks_.thr_busy = &env_.stats->busy("irc.thr." + m);
-    sinks_.thm_busy = &env_.stats->busy("irc.thm." + m);
-  }
-  sinks_.ready = true;
-}
-
 void TaskHandler::record_states() {
   // Stamped from the scheduler, not from a component's lazily accounted
   // counter, so tracing never has to keep the IRC or the bus awake.
   const Cycle at = env_.sched->now() + 1;
-  sinks_.thr_chan->record(at, static_cast<int>(thr_state_));
-  sinks_.thm_chan->record(at, static_cast<int>(thm_state_));
+  thr_chan_->record(at, static_cast<int>(thr_state_));
+  thm_chan_->record(at, static_cast<int>(thm_state_));
 }
 
 Cycle TaskHandler::quiescent_for_bound() const noexcept {
@@ -186,27 +172,17 @@ Cycle TaskHandler::quiescent_for_bound() const noexcept {
 }
 
 void TaskHandler::skip_idle(Cycle n) {
-  ensure_sinks();
-  if (sinks_.thr_occ != nullptr) {
-    sinks_.thr_occ->sample_n(static_cast<int>(thr_state_), n);
-    sinks_.thm_occ->sample_n(static_cast<int>(thm_state_), n);
-    sinks_.thr_busy->sample_n(thr_state_ != ThRState::Idle, n);
-    sinks_.thm_busy->sample_n(thm_state_ != ThMState::Idle, n);
-  }
+  thr_occ_.sample_n(static_cast<int>(thr_state_), n);
+  thm_occ_.sample_n(static_cast<int>(thm_state_), n);
 }
 
 void TaskHandler::tick() {
   tick_thr();
   tick_thm();
-  ensure_sinks();
-  if (sinks_.thr_occ != nullptr) {
-    sinks_.thr_occ->sample(static_cast<int>(thr_state_));
-    sinks_.thm_occ->sample(static_cast<int>(thm_state_));
-    sinks_.thr_busy->sample(thr_state_ != ThRState::Idle);
-    sinks_.thm_busy->sample(thm_state_ != ThMState::Idle);
-  }
+  thr_occ_.sample(static_cast<int>(thr_state_));
+  thm_occ_.sample(static_cast<int>(thm_state_));
   // Recorded every executed tick; the channels store change events only.
-  if (sinks_.thr_chan != nullptr) record_states();
+  if (thr_chan_ != nullptr) record_states();
 }
 
 // --------------------------------------------------------------------- TH_R

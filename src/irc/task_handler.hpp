@@ -8,7 +8,8 @@
 // TH_M executes them in order — looking up the tables under mutexes,
 // queueing/sleeping on busy RFUs, passing arguments over the packet bus and
 // waiting for DONE. State names follow Figs. 3.5/3.6 so the state-occupancy
-// statistics reproduce Fig. 5.12 directly.
+// histograms each handler keeps (thr_occupancy()/thm_occupancy()) reproduce
+// Fig. 5.12 directly; their non-Idle share is Table 5.1's busy time.
 #pragma once
 
 #include <array>
@@ -94,7 +95,6 @@ struct ThEnv {
   hw::PacketBus* bus = nullptr;
   std::array<rfu::Rfu*, hw::kMaxRfus>* rfus = nullptr;
   std::array<TaskHandler*, kNumModes>* handlers = nullptr;  ///< WAKE routing.
-  sim::StatsRegistry* stats = nullptr;
   sim::TraceRecorder* trace = nullptr;    ///< Null = untraced.
   const sim::Scheduler* sched = nullptr;  ///< Trace clock (with `trace`).
 };
@@ -127,7 +127,7 @@ class TaskHandler : public sim::Clockable {
   /// polls externally-paced conditions (bus grants, table mutexes) and
   /// returns 0.
   Cycle quiescent_for_bound() const noexcept;
-  /// Bulk-accounts n skipped ticks (constant-Idle occupancy/busy samples).
+  /// Bulk-accounts n skipped ticks (constant-state occupancy samples).
   /// Trace channels store change events only, so a skipped constant-state
   /// stretch records exactly what the per-tick path would.
   void skip_idle(Cycle n) override;
@@ -135,9 +135,14 @@ class TaskHandler : public sim::Clockable {
   ThRState thr_state() const noexcept { return thr_state_; }
   ThMState thm_state() const noexcept { return thm_state_; }
   u64 requests_completed() const noexcept { return completed_; }
+  /// Cycles spent in each statechart state (Fig. 5.12), one sample per
+  /// tick, taken after the tick's transition. Busy = total() minus Idle.
+  const sim::StateOccupancy& thr_occupancy() const noexcept { return thr_occ_; }
+  const sim::StateOccupancy& thm_occupancy() const noexcept { return thm_occ_; }
 
   /// Checkpoint support (sim/checkpoint.hpp): both statecharts and the
-  /// in-flight request context. The sinks cache is wiring.
+  /// in-flight request context, and the occupancy histograms. The trace
+  /// channels are wiring.
   template <class Ar>
   void persist(Ar& ar) {
     ar.io(req_);
@@ -155,10 +160,11 @@ class TaskHandler : public sim::Clockable {
     ar.io(thm_entry_);
     ar.io(thm_woken_);
     ar.io(pbus_seq_);
+    ar.io(thr_occ_);
+    ar.io(thm_occ_);
   }
 
  private:
-  void ensure_sinks();
   /// Records both statechart states, stamped sched->now() + 1: the cycle
   /// a tick of the current cycle completes.
   void record_states();
@@ -195,18 +201,11 @@ class TaskHandler : public sim::Clockable {
   bool thm_woken_ = false;
   u32 pbus_seq_ = 0;
 
-  // Cached per-tick instrumentation sinks (string-keyed lookups are far too
-  // hot for a per-cycle path). The stats sinks resolve on first use, the
-  // trace channels in the constructor.
-  struct Sinks {
-    sim::StateOccupancy* thr_occ = nullptr;
-    sim::StateOccupancy* thm_occ = nullptr;
-    sim::BusyCounter* thr_busy = nullptr;
-    sim::BusyCounter* thm_busy = nullptr;
-    sim::TraceChannel* thr_chan = nullptr;
-    sim::TraceChannel* thm_chan = nullptr;
-    bool ready = false;
-  } sinks_;
+  sim::StateOccupancy thr_occ_;
+  sim::StateOccupancy thm_occ_;
+  // Scope channels, resolved in the constructor; null when untraced.
+  sim::TraceChannel* thr_chan_ = nullptr;
+  sim::TraceChannel* thm_chan_ = nullptr;
 };
 
 }  // namespace drmp::irc

@@ -65,12 +65,7 @@ void Rfu::skip_idle(Cycle n) {
   // The phase is constant across a quiescent stretch (that is what the
   // bound asserts), so n constant-state samples reproduce the per-tick
   // bookkeeping exactly.
-  const bool was_busy = phase_ != Phase::Idle;
-  if (env_.stats != nullptr) {
-    if (busy_stat_ == nullptr) busy_stat_ = &env_.stats->busy("rfu." + name_);
-    busy_stat_->sample_n(was_busy, n);
-  }
-  if (was_busy) {
+  if (phase_ != Phase::Idle) {
     busy_cycles_ += n;
     if (phase_ == Phase::Running) {
       on_running_skip(n);
@@ -88,12 +83,7 @@ void Rfu::skip_idle(Cycle n) {
 void Rfu::tick() {
   slave_step();
 
-  const bool was_busy = phase_ != Phase::Idle;
-  if (env_.stats != nullptr) {
-    if (busy_stat_ == nullptr) busy_stat_ = &env_.stats->busy("rfu." + name_);
-    busy_stat_->sample(was_busy);
-  }
-  if (was_busy) ++busy_cycles_;
+  if (phase_ != Phase::Idle) ++busy_cycles_;
 
   switch (phase_) {
     case Phase::Reconfiguring: {

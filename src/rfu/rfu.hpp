@@ -10,6 +10,10 @@
 //   * CS-RFU  — context switch, RDONE after 1-2 cycles;
 //   * MA-RFU  — streams its configuration blob from the reconfiguration
 //               memory at one word per cycle, then RDONE.
+//
+// Each unit keeps the one account of its own activity (busy_cycles(): every
+// non-Idle cycle, reconfiguration included), read by Table 5.1/5.2, the
+// fleet power estimate and the digests.
 #pragma once
 
 #include <string>
@@ -21,7 +25,6 @@
 #include "rfu/rfu_ids.hpp"
 #include "sim/clock.hpp"
 #include "sim/scheduler.hpp"
-#include "sim/stats.hpp"
 
 namespace drmp::rfu {
 
@@ -32,7 +35,6 @@ class Rfu : public sim::Clockable {
   struct Env {
     hw::PacketBus* bus = nullptr;
     hw::ReconfigMemory* rmem = nullptr;
-    sim::StatsRegistry* stats = nullptr;
     const sim::TimeBase* timebase = nullptr;
   };
 
@@ -83,8 +85,8 @@ class Rfu : public sim::Clockable {
   // ---- Checkpoint support (sim/checkpoint.hpp) ----
   /// Serializes the base execution engine (phase, latched command/arguments,
   /// DONE/RDONE lines, reconfiguration progress, counters), then the
-  /// subclass state via save_extra/load_extra. The completion waker and the
-  /// stats-sink cache are wiring and stay untouched.
+  /// subclass state via save_extra/load_extra. The completion waker is
+  /// wiring and stays untouched.
   void save_state(sim::snap::Writer& w);
   void load_state(sim::snap::Reader& r);
 
@@ -107,7 +109,7 @@ class Rfu : public sim::Clockable {
   /// Quiescence bound while Phase::Running — for access/timer RFUs whose
   /// work_step merely polls a known-future condition. A subclass returning
   /// a non-zero bound here must account the skipped work_step calls in
-  /// on_running_skip (busy cycles and stats are handled by the base).
+  /// on_running_skip (busy cycles are handled by the base).
   virtual Cycle running_quiescent_for() const { return 0; }
   virtual void on_running_skip(Cycle /*n*/) {}
 
@@ -175,8 +177,6 @@ class Rfu : public sim::Clockable {
   Cycle reconfig_cycles_ = 0;
   u64 reconfig_count_ = 0;
   u64 exec_count_ = 0;
-  /// Cached stats sink (string-keyed lookup is too hot for the tick path).
-  sim::BusyCounter* busy_stat_ = nullptr;
 };
 
 }  // namespace drmp::rfu

@@ -46,7 +46,7 @@
 namespace drmp::sim::snap {
 
 inline constexpr char kMagic[8] = {'D', 'R', 'M', 'P', 'S', 'N', 'A', 'P'};
-inline constexpr u32 kSnapshotVersion = 1;
+inline constexpr u32 kSnapshotVersion = 2;
 
 // ---- Typed rejection errors (no partial restores) ----
 

@@ -1,52 +1,17 @@
-// Statistics collectors backing the paper's evaluation artefacts:
-//   * BusyCounter        -> Tables 5.1 / 5.2 (busy time of entities)
-//   * StateOccupancy     -> Fig. 5.12 (state occupation in the task handler)
-//   * LatencyStats       -> Figs. 5.8-5.10 (per-packet timing / constraints)
+// Header-only collectors shared by the components and the scenario engine:
+//   * StateOccupancy -> Fig. 5.12 (state occupation in the task handlers).
+//     Each TaskHandler and the ReconfController own theirs; busy time
+//     (Table 5.1's IRC rows) is total() minus the Idle bucket. The other
+//     busy counts live in the components themselves (Rfu, CpuModel,
+//     PacketBus: busy_cycles()).
+//   * Digest         -> the order-sensitive fold behind every pinned digest.
 #pragma once
 
-#include <algorithm>
-#include <cstddef>
 #include <map>
-#include <stdexcept>
-#include <string>
-#include <vector>
 
 #include "common/types.hpp"
 
 namespace drmp::sim {
-
-/// Counts cycles during which an entity reports itself busy.
-class BusyCounter {
- public:
-  void sample(bool busy) noexcept {
-    ++total_;
-    if (busy) ++busy_;
-  }
-  /// Bulk form: n consecutive cycles of one constant state. Equivalent to n
-  /// sample(busy) calls — the quiescence skip path accounts idle (or frozen-
-  /// busy) stretches through this without touching the per-cycle totals.
-  void sample_n(bool busy, Cycle n) noexcept {
-    total_ += n;
-    if (busy) busy_ += n;
-  }
-  Cycle busy_cycles() const noexcept { return busy_; }
-  Cycle total_cycles() const noexcept { return total_; }
-  double busy_fraction() const noexcept {
-    return total_ == 0 ? 0.0 : static_cast<double>(busy_) / static_cast<double>(total_);
-  }
-  void reset() noexcept { busy_ = total_ = 0; }
-
-  /// Checkpoint support (sim/checkpoint.hpp).
-  template <class Ar>
-  void persist(Ar& ar) {
-    ar.io(busy_);
-    ar.io(total_);
-  }
-
- private:
-  Cycle busy_ = 0;
-  Cycle total_ = 0;
-};
 
 /// Per-state cycle histogram for a finite-state controller.
 class StateOccupancy {
@@ -64,7 +29,6 @@ class StateOccupancy {
     return t;
   }
   const std::map<int, Cycle>& table() const noexcept { return cycles_; }
-  void reset() { cycles_.clear(); }
 
   /// Checkpoint support (sim/checkpoint.hpp).
   template <class Ar>
@@ -74,33 +38,6 @@ class StateOccupancy {
 
  private:
   std::map<int, Cycle> cycles_;
-};
-
-/// Simple scalar series with summary statistics (latencies, slacks).
-class LatencyStats {
- public:
-  void add(double v) { values_.push_back(v); }
-  std::size_t count() const noexcept { return values_.size(); }
-  double min() const { return values_.empty() ? 0 : *std::min_element(values_.begin(), values_.end()); }
-  double max() const { return values_.empty() ? 0 : *std::max_element(values_.begin(), values_.end()); }
-  double mean() const {
-    if (values_.empty()) return 0;
-    double s = 0;
-    for (double v : values_) s += v;
-    return s / static_cast<double>(values_.size());
-  }
-  double percentile(double p) const {
-    if (values_.empty()) return 0;
-    std::vector<double> v = values_;
-    std::sort(v.begin(), v.end());
-    const auto idx = static_cast<std::size_t>(p * static_cast<double>(v.size() - 1));
-    return v[idx];
-  }
-  const std::vector<double>& values() const noexcept { return values_; }
-  void reset() { values_.clear(); }
-
- private:
-  std::vector<double> values_;
 };
 
 /// Order-sensitive FNV-1a accumulator over counter streams. The scenario
@@ -124,56 +61,6 @@ class Digest {
 
  private:
   u64 h_ = 0xCBF29CE484222325ull;
-};
-
-/// Registry of named busy counters; entities register themselves so bench
-/// binaries can print the whole Table 5.1/5.2 row set generically.
-class StatsRegistry {
- public:
-  BusyCounter& busy(const std::string& name) { return busy_[name]; }
-  StateOccupancy& occupancy(const std::string& name) { return occ_[name]; }
-  const std::map<std::string, BusyCounter>& all_busy() const noexcept { return busy_; }
-  const std::map<std::string, StateOccupancy>& all_occupancy() const noexcept { return occ_; }
-  void reset() {
-    for (auto& [k, v] : busy_) v.reset();
-    for (auto& [k, v] : occ_) v.reset();
-  }
-
-  /// Checkpoint support (sim/checkpoint.hpp). Components cache references
-  /// into the map nodes (e.g. Rfu::busy_stat_), and many register lazily on
-  /// first use — so a snapshot of a run-in device carries keys a freshly
-  /// built assembly has not looked up yet. Loading restores values in place
-  /// where the key already exists and inserts the rest; std::map nodes are
-  /// stable, so existing cached references survive and later lazy lookups
-  /// land on the restored entry. Which keys belong to which scenario is the
-  /// engine fingerprint's job, not this registry's.
-  template <class Ar>
-  void persist(Ar& ar) {
-    persist_in_place(ar, busy_);
-    persist_in_place(ar, occ_);
-  }
-
- private:
-  template <class Ar, class M>
-  static void persist_in_place(Ar& ar, M& m) {
-    u64 n = m.size();
-    ar.io(n);
-    if constexpr (Ar::kLoading) {
-      for (u64 i = 0; i < n; ++i) {
-        std::string key;
-        ar.io(key);
-        ar.io(m[key]);
-      }
-    } else {
-      for (auto& [k, v] : m) {
-        std::string key = k;
-        ar.io(key);
-        ar.io(v);
-      }
-    }
-  }
-  std::map<std::string, BusyCounter> busy_;
-  std::map<std::string, StateOccupancy> occ_;
 };
 
 }  // namespace drmp::sim

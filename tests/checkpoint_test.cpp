@@ -12,10 +12,12 @@
 #include <cstdio>
 #include <cstdlib>
 #include <fstream>
+#include <map>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "drmp/device.hpp"
 #include "scenario/scenario_engine.hpp"
 #include "scenario/scenario_spec.hpp"
 #include "sim/checkpoint.hpp"
@@ -84,6 +86,67 @@ TEST(Checkpoint, InterruptedContendedCellReproducesDigest) {
   EXPECT_EQ(resumed.completion_digest(), base.completion_digest());
   EXPECT_EQ(resumed.lockstep_cycles, base.lockstep_cycles);
   EXPECT_EQ(resumed.report(), base.report());
+  std::remove(path.c_str());
+}
+
+/// One device's activity accounts: the TH_R/TH_M occupancy tables of every
+/// mode and the RC's (Fig. 5.12), and every busy counter — each RFU's, the
+/// CPU's, the bus's busy and total cycles (Tables 5.1/5.2).
+struct Activity {
+  std::vector<std::map<int, Cycle>> occupancy;
+  std::vector<Cycle> busy;
+};
+
+Activity activity(DrmpDevice& d) {
+  Activity a;
+  irc::Irc& irc = d.irc();
+  for (std::size_t i = 0; i < kNumModes; ++i) {
+    const irc::TaskHandler& th = irc.handler(mode_from_index(i));
+    a.occupancy.push_back(th.thr_occupancy().table());
+    a.occupancy.push_back(th.thm_occupancy().table());
+  }
+  a.occupancy.push_back(irc.rc().occupancy().table());
+  for (const rfu::Rfu* r : d.rfus()) a.busy.push_back(r->busy_cycles());
+  a.busy.push_back(d.cpu().busy_cycles());
+  a.busy.push_back(d.bus().busy_cycles());
+  a.busy.push_back(d.bus().total_cycles());
+  return a;
+}
+
+// The activity accounts travel in each component's persist(), and neither
+// full_digest() nor report() covers them: a resumed run must end with every
+// table and counter equal to the uninterrupted run's, device by device, under
+// either idle-skip policy.
+TEST(Checkpoint, ResumedActivityAccountsMatchUninterrupted) {
+  const ScenarioSpec proto = ScenarioSpec::contended_wifi_cell(8, 1, 2);
+  ScenarioEngine base(proto);
+  const FleetStats base_stats = base.run();
+  ASSERT_TRUE(base_stats.all_drained);
+
+  const std::string path = tmp_path("ckpt_activity.snap");
+  const Cycle half = aligned(base_stats.lockstep_cycles / 2, proto.lockstep_stride);
+  save_snapshot_at(proto, half, path);
+
+  for (const bool skip : {true, false}) {
+    SCOPED_TRACE(testing::Message() << "idle_skip " << skip);
+    ScenarioSpec rest = proto;
+    rest.idle_skip = skip;
+    ScenarioEngine resumer(std::move(rest));
+    resumer.resume(path);
+    const FleetStats resumed = resumer.run();
+    ASSERT_EQ(resumed.full_digest(), base_stats.full_digest());
+    ASSERT_EQ(resumer.device_count(), base.device_count());
+    for (std::size_t i = 0; i < base.device_count(); ++i) {
+      SCOPED_TRACE(testing::Message() << "device " << i);
+      const Activity want = activity(base.device(i));
+      const Activity got = activity(resumer.device(i));
+      EXPECT_EQ(got.occupancy, want.occupancy);
+      EXPECT_EQ(got.busy, want.busy);
+      // Not vacuous: every station transmitted, so its CPU and bus worked.
+      EXPECT_GT(base.device(i).cpu().busy_cycles(), 0u);
+      EXPECT_GT(base.device(i).bus().busy_cycles(), 0u);
+    }
+  }
   std::remove(path.c_str());
 }
 
@@ -290,12 +353,20 @@ TEST(CheckpointEngine, MismatchedScenarioIsRejected) {
 TEST(CheckpointEngine, VersionBumpedFileIsRefusedByResume) {
   const std::string path = tmp_path("ckpt_ver.snap");
   save_small_real_snapshot(path);
-  Bytes bytes = read_file(path);
-  ASSERT_GT(bytes.size(), 24u);
-  bytes[8] ^= 0x01;  // Bump the format version in place.
-  write_file(path, bytes);
-  ScenarioEngine engine(ScenarioSpec::contended_wifi_cell(8, 1, 2));
-  EXPECT_THROW(engine.resume(path), sim::snap::BadVersionError);
+  const Bytes good = read_file(path);
+  ASSERT_GT(good.size(), 24u);
+  // A flipped version bit, and version 1: the older layout that carried the
+  // busy/occupancy accounts in a device-level "stats" record.
+  for (const u32 version : {sim::snap::kSnapshotVersion ^ 1u, 1u}) {
+    SCOPED_TRACE(testing::Message() << "version " << version);
+    Bytes bytes = good;
+    for (std::size_t i = 0; i < 4; ++i) {
+      bytes[8 + i] = static_cast<u8>(version >> (8 * i));  // u32 LE at offset 8.
+    }
+    write_file(path, bytes);
+    ScenarioEngine engine(ScenarioSpec::contended_wifi_cell(8, 1, 2));
+    EXPECT_THROW(engine.resume(path), sim::snap::BadVersionError);
+  }
   std::remove(path.c_str());
 }
 
@@ -318,11 +389,12 @@ TEST(CheckpointEngine, MisuseIsRejectedUpFront) {
 // Golden snapshot: yesterday's file loads in today's build.
 // ---------------------------------------------------------------------------
 
-// A committed version-1 snapshot of the 4-station contended cell, halfway
-// through its run. Guards the on-disk format itself: any accidental layout
-// change in a persist() breaks this load loudly. Regenerate (only alongside
-// a deliberate kSnapshotVersion bump or a simulation-behaviour change) with
-//   DRMP_REGEN_GOLDEN=1 ./drmp_tests --gtest_filter='Checkpoint.Golden*'
+// A committed snapshot (format version 2) of the 4-station contended cell,
+// halfway through its run. Guards the on-disk format itself: any accidental
+// layout change in a persist() breaks this load loudly. Regenerate (only
+// alongside a deliberate kSnapshotVersion bump or a simulation-behaviour
+// change) with
+//   DRMP_REGEN_GOLDEN=1 ./checkpoint_test --gtest_filter='Checkpoint.Golden*'
 TEST(Checkpoint, GoldenSnapshotLoadsAndFinishes) {
   const ScenarioSpec proto = ScenarioSpec::contended_wifi_cell(4, 5, 2);
   const FleetStats base = ScenarioEngine(proto).run();

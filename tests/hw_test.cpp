@@ -70,7 +70,7 @@ TEST(ReconfigMemory, BlobStorage) {
 class BusTest : public ::testing::Test {
  protected:
   PacketMemory mem;
-  PacketBus bus{mem, nullptr};
+  PacketBus bus{mem};
 };
 
 TEST_F(BusTest, PriorityModeAWins) {

@@ -241,11 +241,10 @@ TEST_F(IrcTest, TaskHandlerStateOccupancyRecorded) {
   ASSERT_TRUE(run_request(Mode::A, {{Op::EncryptRc4,
                                      {page_base(Mode::A, Page::Raw),
                                       page_base(Mode::A, Page::Crypt), 1, 0}}}));
-  const auto& occ = tb_.device().stats().all_occupancy();
-  ASSERT_TRUE(occ.count("irc.thm.A"));
-  ASSERT_TRUE(occ.count("irc.thr.A"));
+  const irc::TaskHandler& th = tb_.device().irc().handler(Mode::A);
+  EXPECT_GT(th.thr_occupancy().total(), 0u);
   // The TH_M must have spent cycles outside IDLE.
-  const auto& thm = occ.at("irc.thm.A");
+  const sim::StateOccupancy& thm = th.thm_occupancy();
   Cycle non_idle = thm.total() - thm.cycles_in(static_cast<int>(irc::ThMState::Idle));
   EXPECT_GT(non_idle, 0u);
 }

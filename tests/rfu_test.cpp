@@ -43,13 +43,12 @@ Bytes payload(std::size_t n, u8 seed = 3) {
 /// Drives a single RFU the way a TH_M does.
 class RfuHarness : public ::testing::Test {
  protected:
-  RfuHarness() : sched(200e6), bus(mem, &stats), tb(200e6) {}
+  RfuHarness() : sched(200e6), bus(mem), tb(200e6) {}
 
   Rfu::Env env() {
     Rfu::Env e;
     e.bus = &bus;
     e.rmem = &rmem;
-    e.stats = &stats;
     e.timebase = &tb;
     return e;
   }
@@ -97,7 +96,6 @@ class RfuHarness : public ::testing::Test {
 
   sim::Scheduler sched;
   hw::PacketMemory mem;
-  sim::StatsRegistry stats;
   hw::PacketBus bus;
   hw::ReconfigMemory rmem;
   sim::TimeBase tb;
@@ -558,14 +556,12 @@ std::vector<u64> drive_crypto_script(bool idle_skip, u64 seed) {
   sim::Scheduler sched(200e6);
   sched.set_idle_skip(idle_skip);
   hw::PacketMemory mem;
-  sim::StatsRegistry stats;
-  hw::PacketBus bus(mem, &stats);
+  hw::PacketBus bus(mem);
   hw::ReconfigMemory rmem;
   sim::TimeBase tb(200e6);
   Rfu::Env env;
   env.bus = &bus;
   env.rmem = &rmem;
-  env.stats = &stats;
   env.timebase = &tb;
   CryptoRfu crypto(env);
   sched.add(bus, "bus");

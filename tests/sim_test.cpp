@@ -287,12 +287,6 @@ TEST(Trace, AsciiWaveformRenders) {
   EXPECT_NE(wf.find('.'), std::string::npos);
 }
 
-TEST(Stats, BusyCounterFraction) {
-  BusyCounter c;
-  for (int i = 0; i < 100; ++i) c.sample(i < 25);
-  EXPECT_DOUBLE_EQ(c.busy_fraction(), 0.25);
-}
-
 TEST(Stats, StateOccupancyTotals) {
   StateOccupancy occ;
   for (int i = 0; i < 10; ++i) occ.sample(0);
@@ -303,23 +297,7 @@ TEST(Stats, StateOccupancyTotals) {
   EXPECT_EQ(occ.total(), 15u);
 }
 
-TEST(Stats, LatencyPercentiles) {
-  LatencyStats l;
-  for (int i = 1; i <= 100; ++i) l.add(i);
-  EXPECT_DOUBLE_EQ(l.min(), 1.0);
-  EXPECT_DOUBLE_EQ(l.max(), 100.0);
-  EXPECT_DOUBLE_EQ(l.mean(), 50.5);
-  EXPECT_NEAR(l.percentile(0.5), 50.0, 1.0);
-}
-
 TEST(Stats, BulkSamplesMatchLoopedSamples) {
-  BusyCounter a, b;
-  for (int i = 0; i < 37; ++i) a.sample(true);
-  for (int i = 0; i < 63; ++i) a.sample(false);
-  b.sample_n(true, 37);
-  b.sample_n(false, 63);
-  EXPECT_EQ(a.busy_cycles(), b.busy_cycles());
-  EXPECT_EQ(a.total_cycles(), b.total_cycles());
   StateOccupancy oa, ob;
   for (int i = 0; i < 12; ++i) oa.sample(3);
   ob.sample_n(3, 12);

@@ -40,7 +40,7 @@ class ProbeRfu final : public StreamingRfu {
 
 class StreamingTest : public ::testing::Test {
  protected:
-  StreamingTest() : sched(200e6), bus(mem, nullptr), tb(200e6) {
+  StreamingTest() : sched(200e6), bus(mem), tb(200e6) {
     Rfu::Env env;
     env.bus = &bus;
     env.rmem = &rmem;
