@@ -48,15 +48,6 @@ class ReconfController : public sim::Clockable {
   const sim::StateOccupancy& occupancy() const noexcept { return occ_; }
   void tick() override;
 
-  /// True when a tick is pure statistics sampling (Irc-level quiescence).
-  bool quiescent() const noexcept {
-    if (state_ != State::Idle) return false;
-    for (const auto& p : pending_) {
-      if (p.has_value()) return false;
-    }
-    return true;
-  }
-
   /// Per-state quiescence bound feeding Irc::quiescent_for(): the only
   /// long-lived wait, TriggerRcnfgWait, is released by the RFU's RDONE
   /// transition, which fires the completion waker registered by

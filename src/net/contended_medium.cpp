@@ -61,6 +61,12 @@ void ContendedMedium::apply_audibility(const AudibilityMatrix& m) {
     }
   }
   if (m == params_.audibility) return;  // No change: not an epoch.
+  // Sleeping transmit gates must re-read their carrier bounds under the new
+  // footprints, and a skipped lane must be dispatched again. Woken before
+  // the revision, so what they owe is settled under the old epoch and the
+  // medium's clock is caught up before it stamps the epoch event.
+  wake_subscribers();
+  wake_self();
   params_.audibility = m;
   ++topology_epoch_;
   // Re-mask in-flight frames against the new epoch. Rebuild every
@@ -85,10 +91,6 @@ void ContendedMedium::apply_audibility(const AudibilityMatrix& m) {
   }
   DRMP_OBS(rec_, now_, obs::EventKind::kTopologyEpoch, rec_track_,
            static_cast<int>(topology_epoch_), static_cast<i64>(m.n));
-  // Sleeping transmit gates must re-read their carrier bounds under the new
-  // footprints, and a skipped lane must be dispatched again.
-  wake_subscribers();
-  wake_self();
 }
 
 void ContendedMedium::restore_audibility(const AudibilityMatrix& m, u64 epoch) {
@@ -208,16 +210,18 @@ void ContendedMedium::begin_remote_tx(Cycle start, Cycle end, int source) {
         "net::ContendedMedium::begin_remote_tx: the capture effect is "
         "incompatible with co-channel coupling (order-dependent verdicts)");
   }
+  // Sleeping transmit gates must re-evaluate their carrier bounds, and a
+  // round-skipped lane must be dispatched again: external input arrived.
+  // Woken first, so a sleeping medium's clock is caught up to its lane's
+  // before the forward-window check reads it.
+  wake_subscribers();
+  wake_self();
   if (start < now_ || end <= start) {
     throw std::logic_error(
         "net::ContendedMedium::begin_remote_tx: foreign carrier must arrive "
         "with a forward, non-empty air window (coupler latency >= lane "
         "lookahead)");
   }
-  // Sleeping transmit gates must re-evaluate their carrier bounds, and a
-  // round-skipped lane must be dispatched again: external input arrived.
-  wake_subscribers();
-  wake_self();
   // Jam every live local transmission whose air interval overlaps the
   // image's. Interval arithmetic only — no reading of "now" beyond the
   // liveness filter — so immediate and window-edge injection agree. Any

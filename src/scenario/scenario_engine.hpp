@@ -9,9 +9,10 @@
 // The lossy-channel model (ScenarioSpec::channel, overridable per cell) is
 // applied through the Medium fault injector.
 //
-// run() advances every cell in MultiScheduler lockstep over
-// Scheduler::run_cycles, with per-cell drained() early-exit predicates
-// evaluated once per stride. Optional worker threads are bit-identical to
+// run() advances every cell in MultiScheduler lockstep through the
+// scheduler's loop (sleepers are settled where state is observed: at lane
+// retirement, checkpoint edges and run exit; see sim/multi_scheduler.hpp),
+// with per-cell drained() early-exit predicates evaluated once per stride. Optional worker threads are bit-identical to
 // serial, and ScenarioSpec::idle_skip = false runs every cell in the
 // scheduler's every-tick mode, the reference the equivalence tests use.
 // Completion-coupled statistics are also invariant under the lockstep

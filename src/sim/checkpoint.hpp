@@ -25,8 +25,9 @@
 // Snapshots are legal only at quiescent lockstep round edges — exactly where
 // the lax-sync causality argument already holds (docs/ARCHITECTURE.md,
 // "Checkpoint/resume") — which is why no scheduler wake bookkeeping appears
-// in any record: every Scheduler run rebuilds it from component quiescence
-// bounds on entry.
+// in any record: Scheduler::save_state settles every sleeper first, and
+// load_state invalidates the wake state, which the next run rebuilds from
+// the restored components' quiescence bounds.
 #pragma once
 
 #include <array>

@@ -47,31 +47,44 @@ MultiScheduler::RunResult MultiScheduler::run(Cycle max_cycles, Cycle stride,
   RoundState round;
   round.active = &active;
   // Cycles a quiescent lane owes because its rounds were skipped; replayed
-  // in one run_cycles call when the lane's next_wake falls due (or at exit).
+  // in one call of the scheduler's loop when the lane's next_wake falls due
+  // (or at exit).
   std::vector<Cycle> deferred(lanes_.size(), 0);
+  // A lane is due when it may execute a real tick before the round target.
+  // next_wake() is exact between rounds: a lane is mutated outside its own
+  // run only through wake_self(), which collapses the hint to now().
+  const auto due = [&](std::size_t idx) {
+    const Scheduler& s = *lanes_[idx].sched;
+    return s.next_wake() < s.now() + round.chunk + deferred[idx];
+  };
+  // Lanes run through the scheduler's private loop, which keeps sleepers
+  // unsettled: a dispatch costs O(woken), not O(components).
+  const auto advance_lane = [&](std::size_t idx, Cycle n) {
+    Scheduler& s = *lanes_[idx].sched;
+    s.advance(s.now() + n, nullptr);
+    lanes_[idx].cycles_run += n;
+  };
   const auto run_lane = [&](std::size_t idx) {
     Lane& lane = lanes_[idx];
-    const Cycle want = round.chunk + deferred[idx];
-    // next_wake() is exact between rounds (nothing mutates a lane outside
-    // its own run), so a lane with no possible tick before the round target
-    // can skip the dispatch entirely.
-    if (lane.sched->next_wake() >= lane.sched->now() + want) {
-      deferred[idx] = want;
+    if (!due(idx)) {
+      deferred[idx] += round.chunk;
       // Lane-stall profile: each lane only ever writes its own slot, so
       // worker threads never contend here.
       ++lane.rounds_skipped;
       lane.stall_cycles += round.chunk;
       return;
     }
+    advance_lane(idx, round.chunk + deferred[idx]);
     deferred[idx] = 0;
-    lane.sched->run_cycles(want);
-    lane.cycles_run += want;
   };
+  // Puts a lane on the lockstep clock with its sleepers settled, wherever
+  // its state is observed: retirement, checkpoint edges, run exit.
   const auto flush_lane = [&](std::size_t idx) {
-    if (deferred[idx] == 0) return;
-    lanes_[idx].sched->run_cycles(deferred[idx]);
-    lanes_[idx].cycles_run += deferred[idx];
-    deferred[idx] = 0;
+    if (deferred[idx] != 0) {
+      advance_lane(idx, deferred[idx]);
+      deferred[idx] = 0;
+    }
+    lanes_[idx].sched->settle();
   };
   const auto drain_queue = [&] {
     for (;;) {
@@ -101,7 +114,15 @@ MultiScheduler::RunResult MultiScheduler::run(Cycle max_cycles, Cycle stride,
   while (res.cycles < max_cycles && !active.empty()) {
     round.chunk = std::min<Cycle>(stride, max_cycles - res.cycles);
     round.next.store(0, std::memory_order_relaxed);
-    if (pool.empty()) {
+    // A round with fewer than two due lanes is run inline: releasing the
+    // pool would cost two barrier crossings for at most one lane's work.
+    std::size_t due_lanes = 0;
+    if (!pool.empty()) {
+      for (std::size_t k = 0; k < active.size() && due_lanes < 2; ++k) {
+        due_lanes += static_cast<std::size_t>(due(active[k]));
+      }
+    }
+    if (due_lanes < 2) {
       for (std::size_t idx : active) run_lane(idx);
     } else {
       start.arrive_and_wait();
@@ -133,10 +154,10 @@ MultiScheduler::RunResult MultiScheduler::run(Cycle max_cycles, Cycle stride,
     // scheduled past the stop edge so collection-time statistics match a
     // coupled reference that stopped at the same edge.
     if (round_hook_) round_hook_();
-    // Checkpoint edge: flush deferred lanes so every lane clock sits exactly
-    // on this round edge, then hand control to the hook. Gated on the due
-    // multiple — not every round — so round skipping keeps its effect
-    // between checkpoints.
+    // Checkpoint edge: flush and settle deferred lanes so every lane clock
+    // sits exactly on this round edge, then hand control to the hook. Gated
+    // on the due multiple — not every round — so round skipping keeps its
+    // effect between checkpoints.
     if (edge_hook_ && res.cycles >= edge_next) {
       for (std::size_t idx : active) flush_lane(idx);
       edge_hook_(res.cycles);
@@ -145,7 +166,7 @@ MultiScheduler::RunResult MultiScheduler::run(Cycle max_cycles, Cycle stride,
   }
 
   // Bring skipped-but-unfinished lanes up to the lockstep clock, exactly as
-  // if they had been dispatched every round.
+  // if they had been dispatched every round, and settle them for collection.
   for (std::size_t idx : active) flush_lane(idx);
 
   if (!pool.empty()) {

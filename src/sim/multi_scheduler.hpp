@@ -3,8 +3,8 @@
 // The scenario engine gives every DRMP device its own Scheduler (its own
 // clock domain, component list and statistics). A fleet run advances all of
 // them in lockstep: time moves in strides of `stride` cycles, and within one
-// stride every active lane runs the same cycle interval through
-// Scheduler::run_cycles. After each stride the per-lane early-exit predicate
+// stride every active lane runs the same cycle interval through the
+// scheduler's loop. After each stride the per-lane early-exit predicate
 // is evaluated once; a lane whose predicate fired stops ticking (its device
 // has drained its workload) while the rest of the fleet continues. Evaluating
 // predicates once per stride — instead of after every executed cycle as
@@ -25,12 +25,18 @@
 // publishes next_wake() — the earliest cycle any of its components could
 // execute a real tick. A lane whose wake lies beyond the round's target is
 // not dispatched at all (not even for a fast-forward call); the cycles it
-// owes accumulate and are replayed in one run_cycles call the moment its wake
-// falls inside a round (or at run exit, so lane clocks still line up with
-// the lockstep clock). Nothing mutates a lane between rounds except its
-// done-predicate, which must be a pure read, so the skip decision is exact
-// and the results remain bit-identical to dispatching every round — with
-// any worker count.
+// owes accumulate and are replayed in one call the moment its wake falls
+// inside a round (or at run exit, so lane clocks still line up with the
+// lockstep clock). Between rounds a lane is mutated only through wake_self()
+// (which collapses its hint to now()) and read only by its done-predicate,
+// which must be a pure read of completion state, so the skip decision is
+// exact and the results remain bit-identical to dispatching every round —
+// with any worker count.
+//
+// Lanes are driven through the scheduler's private loop, which keeps wake
+// state between calls and leaves sleepers unsettled (see sim/scheduler.hpp):
+// a dispatch costs O(woken). A lane is settled where its state is observed —
+// when it retires, before the edge hook, and when run() returns.
 #pragma once
 
 #include <functional>
@@ -58,18 +64,20 @@ class MultiScheduler {
   /// point: cross-lane event couplers (net::ChannelCoupler) drain their
   /// outboxes here, so anything one lane generated in the round just ended
   /// is visible to its peers before any lane enters the next round. The
-  /// hook may mutate lane components and wake them (Clockable::wake_self
-  /// between runs resets the lane's next_wake hint, so a round-skipped lane
-  /// is dispatched again); it must schedule effects only at or after the
+  /// hook may mutate lane components after waking them (Clockable::wake_self
+  /// between runs catches the component up to its lane's clock, re-inserts
+  /// it and resets the lane's next_wake hint, so a round-skipped lane is
+  /// dispatched again); it must schedule effects only at or after the
   /// current round edge, or bit-identity across worker counts is lost.
   void set_round_hook(std::function<void()> hook) { round_hook_ = std::move(hook); }
 
   /// Installs a hook fired at the first round edge at or past every multiple
   /// of `every` run-relative cycles, after the round hook, with workers
   /// parked. Before it fires, every still-active lane's deferred cycles are
-  /// flushed (skipped rounds are provably no-op replays, so flushing early
-  /// is bit-identical), which puts *every* lane — retired lanes were flushed
-  /// at retirement — exactly on the lockstep edge: the quiescent state the
+  /// flushed and settled (skipped rounds are provably no-op replays, so
+  /// flushing early is bit-identical), which puts *every* lane — retired
+  /// lanes were flushed at retirement — exactly on the lockstep edge with
+  /// every component caught up: the quiescent state the
   /// checkpoint machinery (scenario::ScenarioEngine::checkpoint_every)
   /// snapshots. The hook receives the run-relative elapsed cycle count and
   /// must not advance any lane.
@@ -91,10 +99,11 @@ class MultiScheduler {
   ///
   /// `workers` > 1 advances the lanes of each stride round on a persistent
   /// pool of that many threads (spawned once per run, parked on a barrier
-  /// between rounds). Lanes are independent clock domains sharing no state,
-  /// and predicates run on the calling thread while workers are parked, so
-  /// the result is bit-identical to the single-threaded run — only
-  /// wall-clock time changes.
+  /// between rounds); a round with fewer than two due lanes runs inline on
+  /// the calling thread without releasing the pool. Lanes are independent
+  /// clock domains sharing no state, and predicates run on the calling
+  /// thread while workers are parked, so the result is bit-identical to the
+  /// single-threaded run — only wall-clock time changes.
   RunResult run(Cycle max_cycles, Cycle stride = kDefaultStride,
                 unsigned workers = 1);
 

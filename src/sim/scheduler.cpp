@@ -21,9 +21,22 @@ void Scheduler::add(Clockable& c, std::string name, int stage) {
     throw std::logic_error("Scheduler::add: cannot register '" + name +
                            "' while a run is in progress");
   }
+  // The wake state is indexed by the frozen array, which the next run
+  // rebuilds; settle what sleepers owe under the old indexing first.
+  settle();
+  wake_valid_ = false;
   entries_.push_back(Entry{&c, stage});
   names_.push_back(std::move(name));
   batch_dirty_ = true;
+}
+
+void Scheduler::set_idle_skip(bool enabled) {
+  if (idle_skip_ != enabled) {
+    settle();
+    wake_valid_ = false;
+    next_wake_ = now_;
+  }
+  idle_skip_ = enabled;
 }
 
 void Scheduler::freeze() {
@@ -70,23 +83,23 @@ void Scheduler::freeze() {
   batch_dirty_ = false;
 }
 
-void Scheduler::enter_run(bool skip) {
-  in_run_ = true;
-  states_.assign(batch_.size(), CompState{});
-  if (!skip) return;  // Every-tick mode: nothing ever sleeps.
+void Scheduler::partition() {
   in_cycle_ = false;
   cursor_ = kNoCursor;
+  states_.assign(batch_.size(), CompState{});
+  eager_.clear();
   wheel_.reset(now_);
   wheel_stale_ = 0;
   active_.reset(batch_.size());
   awake_lazy_ = 0;
-  // Entry partition: every component is fully caught up here, so bounds are
-  // relative to the next cycle to execute (now_).
+  // Every component is fully caught up here, so bounds are relative to the
+  // next cycle to execute (now_).
   for (u32 i = 0; i < batch_.size(); ++i) {
     CompState& st = states_[i];
     st.eager = batch_[i]->global_skip_only();
     if (st.eager) {
       active_.insert(i);  // Eager components stay in the tick loop.
+      eager_.push_back(i);
       continue;
     }
     const Cycle q = batch_[i]->quiescent_for();
@@ -103,63 +116,49 @@ void Scheduler::enter_run(bool skip) {
       }
     }
   }
+  wake_valid_ = true;
 }
 
-void Scheduler::exit_run(bool skip, Cycle cycles) {
-  if (!skip) {
-    // Every-tick mode ticked every component every cycle: account in bulk.
-    // It ticks every cycle, so its lane hint is always now().
-    ticks_executed_ += cycles * batch_.size();
-    for (std::size_t k = 0; k < batch_.size(); ++k) {
-      stage_exec_[stage_bucket_[k]] += cycles;
-    }
-    next_wake_ = now_;
-    in_run_ = false;
-    return;
-  }
-  // Settle: every sleeping component is caught up through the last executed
-  // cycle, so introspection (stats, counters, internal clocks) between runs
-  // is indistinguishable from every-tick mode.
+void Scheduler::settle() {
+  if (!wake_valid_) return;
+  // Sleepers stay asleep with their wheel entries live; only the cycles
+  // they owe are accounted, so introspection between runs is
+  // indistinguishable from every-tick mode.
   for (u32 i = 0; i < states_.size(); ++i) {
     CompState& st = states_[i];
-    if (!st.sleeping) continue;
-    const Cycle owed = now_ - st.slept_from;
-    if (owed > 0) {
-      batch_[i]->skip_idle(owed);
-      ticks_skipped_ += owed;
-      stage_skip_[stage_bucket_[i]] += owed;
-      if (observer_ != nullptr) {
-        observer_->on_skip_span(frozen_names_[i], st.slept_from, owed);
-      }
-    }
-    st.sleeping = false;
-    ++st.gen;
+    if (!st.sleeping || st.slept_from == now_) continue;
+    account_skip(i, st.slept_from, now_ - st.slept_from);
+    st.slept_from = now_;
   }
-  in_run_ = false;
-  // Lane-level wake hint for MultiScheduler: when the whole scheduler is
-  // quiescent, report the earliest cycle a real tick could occur.
-  Cycle min_q = Clockable::kIdleForever;
-  for (Clockable* c : batch_) {
-    const Cycle q = c->quiescent_for();
-    min_q = std::min(min_q, q);
-    if (min_q == 0) break;
-  }
-  if (min_q == 0) {
+}
+
+void Scheduler::publish_next_wake() {
+  if (awake_lazy_ > 0) {
     next_wake_ = now_;
-  } else if (min_q == Clockable::kIdleForever || min_q > Clockable::kIdleForever - now_) {
-    next_wake_ = Clockable::kIdleForever;
-  } else {
-    next_wake_ = now_ + min_q;
+    return;
   }
+  // Only eager components are awake: the lane's next real tick is the
+  // earliest of the stored sleeper bounds and the eager components' own
+  // (which are caught up, so asking them is within the contract).
+  Cycle wake = wheel_.earliest([this](const TimingWheel::Entry& e) { return live(e); });
+  for (const u32 i : eager_) {
+    const Cycle q = batch_[i]->quiescent_for();
+    if (q <= Clockable::kIdleForever - now_) wake = std::min(wake, now_ + q);
+  }
+  next_wake_ = std::max(wake, now_);
+}
+
+void Scheduler::account_skip(u32 idx, Cycle from, Cycle owed) {
+  batch_[idx]->skip_idle(owed);
+  ticks_skipped_ += owed;
+  stage_skip_[stage_bucket_[idx]] += owed;
+  if (observer_ != nullptr) observer_->on_skip_span(frozen_names_[idx], from, owed);
 }
 
 void Scheduler::wake_component(u32 idx) {
-  if (!in_run_) {
-    // External input between runs: the published lane hint no longer
-    // proves quiescence (the next run's entry re-partitions anyway).
-    next_wake_ = now_;
-    return;
-  }
+  // External input: the published lane hint no longer proves quiescence.
+  next_wake_ = now_;
+  if (!wake_valid_) return;  // The next run partitions from fresh bounds.
   CompState& st = states_[idx];
   if (!st.sleeping) return;
   st.sleeping = false;
@@ -173,16 +172,10 @@ void Scheduler::wake_component(u32 idx) {
   // (every-tick mode would observe the just-delivered input this cycle); a
   // target whose slot already passed owes [slept_from, now_] and resumes at
   // now_+1 — exactly when every-tick mode would first see the input.
+  // Between runs the target owes [slept_from, now_) and ticks at now_.
   Cycle owed = now_ - st.slept_from;
   if (in_cycle_ && idx <= cursor_) ++owed;
-  if (owed > 0) {
-    batch_[idx]->skip_idle(owed);
-    ticks_skipped_ += owed;
-    stage_skip_[stage_bucket_[idx]] += owed;
-    if (observer_ != nullptr) {
-      observer_->on_skip_span(frozen_names_[idx], st.slept_from, owed);
-    }
-  }
+  if (owed > 0) account_skip(idx, st.slept_from, owed);
   active_.insert(idx);
   ++awake_lazy_;
 }
@@ -192,9 +185,8 @@ void Scheduler::drain_wheel() {
   // order, not time order — every drained entry is due at now_ (or stale),
   // and wake_component is order-independent within a cycle boundary.
   wheel_.advance(now_, [this](const TimingWheel::Entry& e) {
-    CompState& st = states_[e.index];
-    if (st.sleeping && st.gen == e.gen) {
-      st.in_wheel = false;
+    if (live(e)) {
+      states_[e.index].in_wheel = false;
       wake_component(e.index);
     } else if (wheel_stale_ > 0) {
       --wheel_stale_;  // A stale entry just fell out on its own.
@@ -204,29 +196,32 @@ void Scheduler::drain_wheel() {
   // behind; sweep them out as soon as they are the majority so the wheel's
   // depth tracks the *sleeping* population, not the wake history.
   if (wheel_stale_ >= kPurgeMinStale && wheel_stale_ * 2 >= wheel_.size()) {
-    wheel_.purge([this](const TimingWheel::Entry& e) {
-      const CompState& st = states_[e.index];
-      return st.sleeping && st.gen == e.gen;
-    });
+    wheel_.purge([this](const TimingWheel::Entry& e) { return live(e); });
     wheel_stale_ = 0;
     ++wheel_purges_;
   }
 }
 
-void Scheduler::run_cycles(Cycle n) { advance(now_ + n, nullptr); }
+void Scheduler::run_cycles(Cycle n) {
+  advance(now_ + n, nullptr);
+  settle();
+}
 
 bool Scheduler::run_until(const std::function<bool()>& done, Cycle max_cycles) {
   if (done()) return true;
-  return advance(now_ + max_cycles, &done);
+  const bool fired = advance(now_ + max_cycles, &done);
+  settle();
+  return fired;
 }
 
 bool Scheduler::advance(Cycle limit, const std::function<bool()>* done) {
   if (batch_dirty_) freeze();
   // An empty scheduler has nothing to skip: its clock just counts cycles.
   const bool skip = idle_skip_ && !batch_.empty();
+  if (skip && !wake_valid_) partition();
+  in_run_ = true;
   const Cycle start = now_;
   bool fired = false;
-  enter_run(skip);
   while (now_ < limit && !fired) {
     if (skip) {
       skip_step(limit);
@@ -236,7 +231,19 @@ bool Scheduler::advance(Cycle limit, const std::function<bool()>* done) {
     }
     fired = done != nullptr && (*done)();
   }
-  exit_run(skip, now_ - start);
+  in_run_ = false;
+  if (skip) {
+    publish_next_wake();
+  } else {
+    // Every-tick mode ticked every component every cycle: account in bulk.
+    // It ticks every cycle, so its lane hint is always now().
+    const Cycle cycles = now_ - start;
+    ticks_executed_ += cycles * batch_.size();
+    for (std::size_t k = 0; k < batch_.size(); ++k) {
+      stage_exec_[stage_bucket_[k]] += cycles;
+    }
+    next_wake_ = now_;
+  }
   return fired;
 }
 
@@ -253,26 +260,15 @@ void Scheduler::skip_step(Cycle limit) {
     Cycle gap = limit - now_;
     const Cycle nb = wheel_.next_bound();
     if (nb != TimingWheel::kNever) gap = std::min(gap, nb - now_);
-    for (std::size_t w = 0; w < active_.word_count() && gap > 0; ++w) {
-      u64 m = active_.word(w);
-      while (m != 0 && gap > 0) {
-        const auto idx = static_cast<u32>(w * 64) + static_cast<u32>(std::countr_zero(m));
-        m &= m - 1;
-        gap = std::min(gap, batch_[idx]->quiescent_for());
-      }
+    for (std::size_t k = 0; k < eager_.size() && gap > 0; ++k) {
+      gap = std::min(gap, batch_[eager_[k]]->quiescent_for());
     }
     if (gap > 0) {
-      for (std::size_t w = 0; w < active_.word_count(); ++w) {
-        u64 m = active_.word(w);
-        while (m != 0) {
-          const auto idx = static_cast<u32>(w * 64) +
-                           static_cast<u32>(std::countr_zero(m));
-          m &= m - 1;
-          batch_[idx]->skip_idle(gap);
-          stage_skip_[stage_bucket_[idx]] += gap;
-        }
+      for (const u32 idx : eager_) {
+        batch_[idx]->skip_idle(gap);
+        stage_skip_[stage_bucket_[idx]] += gap;
       }
-      ticks_skipped_ += gap * active_.size();
+      ticks_skipped_ += gap * eager_.size();
       if (observer_ != nullptr) observer_->on_fast_forward(now_, gap);
       now_ += gap;
       ff_cycles_ += gap;
@@ -348,6 +344,7 @@ SchedulerProfile Scheduler::profile() const {
 }
 
 void Scheduler::save_state(snap::Writer& w) {
+  settle();
   w.io(now_);
   w.io(ticks_executed_);
   w.io(ticks_skipped_);
@@ -379,6 +376,7 @@ void Scheduler::load_state(snap::Reader& r) {
   r.io(stage_totals_);
   std::fill(stage_exec_.begin(), stage_exec_.end(), 0);
   std::fill(stage_skip_.begin(), stage_skip_.end(), 0);
+  wake_valid_ = false;
   next_wake_ = now_;
 }
 

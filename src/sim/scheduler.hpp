@@ -16,13 +16,29 @@
 // before devices before observers" without depending on construction order.
 //
 // One loop advances the clock, behind two entry points: run_cycles(n) and
-// run_until(done, max). At entry the component list is frozen into one
-// contiguous stage-ordered array, and components that declare themselves
-// quiescent are *not ticked* until their declared bound expires or an
-// external input wakes them. Skipped ticks are bulk-accounted through
-// Clockable::skip_idle, so every counter and statistic ends up cycle-for-
-// cycle identical to ticking every component every cycle — including now()
-// as observed from inside a tick.
+// run_until(done, max). Components that declare themselves quiescent are
+// *not ticked* until their declared bound expires or an external input
+// wakes them. Skipped ticks are bulk-accounted through Clockable::skip_idle,
+// so every counter and statistic ends up cycle-for-cycle identical to
+// ticking every component every cycle — including now() as observed from
+// inside a tick.
+//
+// The wake state — the active set, the timing wheel of sleepers' bounds and
+// the per-component sleep records — persists from one run to the next, so a
+// run boundary costs O(woken), not O(components). It is rebuilt from every
+// component's quiescent_for() only when it is invalid: before the first
+// run, after a late add() (which re-freezes the stage-ordered array), after
+// an idle-skip toggle, and after load_state. A sleeper's stored bound is
+// never re-queried at a boundary; next_wake() is derived from the stored
+// bounds and the eager components' own.
+//
+// Settling catches every sleeper up to now() in bulk (skip_idle of what it
+// owes) without waking it: its wheel entry stays valid. It is a separate
+// step, taken only where component state is observed: before run_cycles and
+// run_until return, in save_state, and by MultiScheduler, which drives lanes
+// through the private loop and settles a lane when it retires, before the
+// checkpoint edge hook and when its run() returns. Between those points a
+// sleeper's counters and internal clocks may lag now().
 //
 // set_idle_skip(false) selects every-tick mode of the same loop: every
 // component is ticked every cycle and nothing ever sleeps. It is the
@@ -32,7 +48,7 @@
 // and at every fast-forward landing, never inside a skipped stretch. It must
 // therefore read state that changes inside a tick (completion counters,
 // delivered frames) or at an eager component's bound; it then fires on the
-// same cycle in both modes. Sleepers are settled before run_until returns.
+// same cycle in both modes.
 //
 // ---- The quiescence contract ----
 //
@@ -45,8 +61,9 @@
 //     would be no-ops (absent external input); you may replace them with one
 //     skip_idle(Q)". 0 means "tick me next cycle"; kIdleForever means
 //     "skippable until woken". The scheduler calls it only at well-defined
-//     points — immediately after the component's own tick(), or at a run
-//     boundary with the component fully caught up — so implementations may
+//     points — immediately after the component's own tick(), or with the
+//     component fully caught up when the wake state is rebuilt (and, for
+//     eager components, at the end of a run) — so implementations may
 //     assume their internal clocks equal the index of their next tick.
 //     Under-estimating Q is always safe (the component wakes, ticks once,
 //     and may sleep again); over-estimating breaks bit-identity.
@@ -64,12 +81,14 @@
 // input". Every path that delivers input to a potentially-sleeping component
 // (bus trigger push, interrupt/host-request/timer arm, medium begin_tx and
 // frame delivery, Tx/Rx buffer pushes, IRC submissions, doorbell writes)
-// must call wake_self() on the target before mutating it. The scheduler then
-// catches the component up (bulk-accounting the cycles it slept) and re-
-// inserts it into the active set — in the *current* cycle when its tick slot
-// has not yet passed this cycle, from the next cycle otherwise, which is
-// exactly when every-tick mode would first observe the input. skip_idle
-// implementations must not wake other components.
+// must call wake_self() on the target before mutating it — inside a run and
+// between runs alike, since a run boundary does not re-read sleepers' bounds.
+// The scheduler then catches the component up (bulk-accounting the cycles
+// it slept) and re-inserts it into the active set — in the *current* cycle
+// when its tick slot has not yet passed this cycle (or between runs), from
+// the next cycle otherwise, which is exactly when every-tick mode would
+// first observe the input. skip_idle implementations must not wake other
+// components.
 //
 // Globally-quiescent gaps: when every component is quiescent, the scheduler
 // fast-forwards now_ to the earliest wake bound (the timing wheel below holds
@@ -182,32 +201,14 @@ struct SchedulerProfile {
 /// tree nodes.
 class ActiveSet {
  public:
-  void reset(std::size_t n) {
-    words_.assign((n + 63) / 64, 0);
-    count_ = 0;
-  }
-  void insert(u32 i) noexcept {
-    u64& w = words_[i >> 6];
-    const u64 m = u64{1} << (i & 63);
-    count_ += static_cast<std::size_t>((w & m) == 0);
-    w |= m;
-  }
-  void erase(u32 i) noexcept {
-    u64& w = words_[i >> 6];
-    const u64 m = u64{1} << (i & 63);
-    count_ -= static_cast<std::size_t>((w & m) != 0);
-    w &= ~m;
-  }
-  bool contains(u32 i) const noexcept {
-    return (words_[i >> 6] >> (i & 63) & 1) != 0;
-  }
-  std::size_t size() const noexcept { return count_; }
+  void reset(std::size_t n) { words_.assign((n + 63) / 64, 0); }
+  void insert(u32 i) noexcept { words_[i >> 6] |= u64{1} << (i & 63); }
+  void erase(u32 i) noexcept { words_[i >> 6] &= ~(u64{1} << (i & 63)); }
   std::size_t word_count() const noexcept { return words_.size(); }
   u64 word(std::size_t k) const noexcept { return words_[k]; }
 
  private:
   std::vector<u64> words_;
-  std::size_t count_ = 0;
 };
 
 /// Bucketed hierarchical timing wheel for sleeping components' wake bounds:
@@ -312,6 +313,38 @@ class TimingWheel {
                                               std::countr_zero(occ_[l])));
     }
     return nb;
+  }
+
+  /// Exact earliest wake time among the entries `live` accepts; kNever when
+  /// there is none. Walks each level's buckets in time order (the slots
+  /// after the base's, then the next frame's) and stops at the first bucket
+  /// holding a live entry, so the cost is one bucket per level plus the
+  /// stale entries ahead of it.
+  template <typename P>
+  Cycle earliest(P&& live) const {
+    Cycle best = kNever;
+    for (int l = 0; l < kLevels; ++l) {
+      const auto c = static_cast<int>((base_ >> (kSlotBits * l)) & 63);
+      u64 order = std::rotr(occ_[static_cast<std::size_t>(l)], c + 1);
+      while (order != 0) {
+        const auto s = static_cast<std::size_t>((std::countr_zero(order) + c + 1) & 63);
+        order &= order - 1;
+        Cycle first = kNever;
+        for (const Entry& e : buckets_[static_cast<std::size_t>(l)][s]) {
+          if (live(e)) first = std::min(first, e.wake_at);
+        }
+        if (first != kNever) {
+          best = std::min(best, first);
+          break;
+        }
+      }
+    }
+    if (overflow_min_ < best) {
+      for (const Entry& e : overflow_) {
+        if (live(e)) best = std::min(best, e.wake_at);
+      }
+    }
+    return best;
   }
 
   /// Filters out entries `keep` rejects (the scheduler's stale predicate).
@@ -458,21 +491,18 @@ class Scheduler {
 
   /// Disables quiescence-aware skipping: every component is ticked every
   /// cycle (every-tick mode, the reference the equivalence tests compare
-  /// against). Toggling between runs invalidates the published next_wake()
-  /// hint — the bound was computed under the other policy — so it
-  /// collapses to now(): always safe (a dispatched lane with nothing to do
-  /// just fast-forwards), never stale.
-  void set_idle_skip(bool enabled) noexcept {
-    if (idle_skip_ != enabled) next_wake_ = now_;
-    idle_skip_ = enabled;
-  }
+  /// against). Toggling between runs settles sleepers and invalidates the
+  /// wake state, and the published next_wake() hint — the bound was
+  /// computed under the other policy — collapses to now(): always safe (a
+  /// dispatched lane with nothing to do just fast-forwards), never stale.
+  void set_idle_skip(bool enabled);
   bool idle_skip() const noexcept { return idle_skip_; }
 
   /// Earliest cycle at which any component might execute a real tick, as
-  /// established at the end of the last run: now() when anything is
-  /// active, kIdleForever when every component is quiescent indefinitely.
-  /// Valid until a component is externally mutated; MultiScheduler uses it
-  /// to skip lockstep rounds for fully-quiescent lanes.
+  /// established at the end of the last run from the stored wake bounds:
+  /// now() when anything is awake, kIdleForever when every component is
+  /// quiescent indefinitely. A wake_self() collapses it to now().
+  /// MultiScheduler uses it to skip lockstep rounds for quiescent lanes.
   Cycle next_wake() const noexcept { return next_wake_; }
 
   Cycle now() const noexcept { return now_; }
@@ -501,41 +531,47 @@ class Scheduler {
   void set_observer(SchedulerObserver* o) noexcept { observer_ = o; }
 
   // ---- Checkpoint (sim/checkpoint.hpp) ----
-  /// Persists the clock and execution counters. Legal only between runs:
-  /// the only simulation state a scheduler carries across runs is now_ —
-  /// enter_run rebuilds the whole quiescence apparatus (active set, wake
-  /// wheel, per-component states) from component bounds at entry.
-  /// load_state collapses next_wake() to now(), which is always safe and
-  /// never stale (the set_idle_skip argument).
+  /// Persists the clock and execution counters. Legal only between runs;
+  /// settles sleepers first, so every component's own record is exact at
+  /// now(). The wake state (active set, wake wheel, per-component sleep
+  /// records) is not persisted: it is derived from component bounds, and
+  /// load_state invalidates it so the next run rebuilds it from the
+  /// restored components. load_state also collapses next_wake() to now(),
+  /// which is always safe and never stale (the set_idle_skip argument).
   void save_state(snap::Writer& w);
   void load_state(snap::Reader& r);
 
  private:
-  /// The one advance loop behind run_cycles and run_until: runs until
-  /// `limit` or until `*done` (when given) fires; returns true iff it fired.
+  /// The one advance loop behind run_cycles, run_until and MultiScheduler:
+  /// runs until `limit` or until `*done` (when given) fires; returns true
+  /// iff it fired. Leaves sleepers unsettled.
   bool advance(Cycle limit, const std::function<bool()>* done);
   /// Rebuilds the contiguous stage-ordered execution array.
   void freeze();
   /// Idle-skip mode's step: one executed cycle over the awake set, or one
   /// fast-forward hop across a globally-quiescent gap (never past `limit`).
   void skip_step(Cycle limit);
-  /// Partitions components into awake and sleeping (`skip` false: every-tick
-  /// mode, where nothing sleeps).
-  void enter_run(bool skip);
-  /// Settles sleepers (or, in every-tick mode, accounts the `cycles` run)
-  /// and publishes next_wake().
-  void exit_run(bool skip, Cycle cycles);
+  /// Rebuilds the wake state from every component's quiescent_for().
+  void partition();
+  /// Catches every sleeper up to now_ without waking it.
+  void settle();
+  /// Publishes next_wake() from the stored bounds and the eager components.
+  void publish_next_wake();
   /// Catches a sleeping component up and re-inserts it into the active set.
   void wake_component(u32 idx);
+  /// Bulk-accounts `owed` skipped ticks of frozen component `idx` from
+  /// cycle `from`.
+  void account_skip(u32 idx, Cycle from, Cycle owed);
   friend class Clockable;
+  friend class MultiScheduler;
 
   struct Entry {
     Clockable* component;
     int stage;
   };
 
-  /// Per-component quiescence state, parallel to batch_; live only inside
-  /// a run.
+  /// Per-component quiescence state, parallel to batch_; valid while
+  /// wake_valid_.
   struct CompState {
     bool eager = false;    ///< global_skip_only(): tick unless global gap.
     bool sleeping = false;
@@ -554,6 +590,11 @@ class Scheduler {
   /// Drains due wheel entries at now_ and purges when stale entries
   /// dominate (the lazy-deletion leak fix).
   void drain_wheel();
+  /// True while `e` is the wheel entry of its component's current sleep.
+  bool live(const TimingWheel::Entry& e) const noexcept {
+    const CompState& st = states_[e.index];
+    return st.sleeping && st.gen == e.gen;
+  }
 
   TimeBase timebase_;
   Cycle now_ = 0;
@@ -566,7 +607,9 @@ class Scheduler {
   bool in_run_ = false;
   bool in_cycle_ = false;
   std::size_t cursor_ = kNoCursor;  ///< Frozen index currently ticking.
+  bool wake_valid_ = false;  ///< states_/active_/wheel_ describe batch_.
   std::vector<CompState> states_;
+  std::vector<u32> eager_;  ///< Frozen indices of eager components.
   ActiveSet active_;  ///< Awake components, iterated in frozen order.
   TimingWheel wheel_;
   std::size_t awake_lazy_ = 0;   ///< Awake components that are not eager.

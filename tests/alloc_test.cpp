@@ -10,9 +10,9 @@
 // counting global operator new: this test runs as its own binary (one per
 // tests/*_test.cpp), so the override cannot leak into other suites. The
 // window is sampled from *inside* one batched run by an observer-stage
-// component, so run-entry bookkeeping (re-partitioning the active set,
-// re-basing the wake wheel) stays out of the measurement: the claim is
-// about the per-cycle path, not about run_cycles() setup.
+// component, so first-run bookkeeping (partitioning the active set,
+// basing the wake wheel) stays out of the measurement: the claim is about
+// the per-cycle path, not about run_cycles() setup.
 #include <gtest/gtest.h>
 
 #include <atomic>

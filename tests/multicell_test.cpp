@@ -211,6 +211,42 @@ TEST_F(CouplerTest, ReachGatesForwardingPerDirection) {
   EXPECT_EQ(coupler->forwarded(), 1u);
 }
 
+TEST(CouplerLanes, PastForeignCarrierThrowsAtTheRoundEdge) {
+  // Two lanes exchanging at round edges with a stride wider than the
+  // coupler latency: cell A transmits at cycle 10, so the image reaches
+  // cell B at 10 + 100, behind B's lane clock at the 1000-cycle edge (a
+  // ticker keeps lane B dispatched, so its clock is there). The forward-
+  // window check must compare against that clock and refuse the image.
+  struct Talker : sim::Clockable {
+    ContendedMedium* medium = nullptr;
+    Cycle now = 0;
+    void tick() override {
+      if (now++ == 10) medium->begin_tx(pattern_frame(64, 1), 1);
+    }
+  };
+  struct Ticker : sim::Clockable {
+    void tick() override {}
+  };
+  const sim::TimeBase tb(200e6);
+  sim::Scheduler sa(200e6), sb(200e6);
+  ContendedMedium a(mac::Protocol::WiFi, tb), b(mac::Protocol::WiFi, tb);
+  Talker talker;
+  talker.medium = &a;
+  Ticker ticker;
+  sa.add(talker, "talker", sim::Scheduler::kStageDefault);
+  sa.add(a, "a", sim::Scheduler::kStageMedium);
+  sb.add(ticker, "ticker", sim::Scheduler::kStageDefault);
+  sb.add(b, "b", sim::Scheduler::kStageMedium);
+  ChannelCoupler coupler({/*latency=*/100, {}, /*immediate=*/false});
+  coupler.attach(/*member=*/0, /*band=*/0, a);
+  coupler.attach(/*member=*/1, /*band=*/0, b);
+  sim::MultiScheduler multi;
+  multi.add(sa);
+  multi.add(sb);
+  multi.set_round_hook([&] { coupler.exchange(); });
+  EXPECT_THROW(multi.run(/*max_cycles=*/4000, /*stride=*/1000), std::logic_error);
+}
+
 TEST_F(CouplerTest, ConstructionGuards) {
   EXPECT_THROW(ChannelCoupler({/*latency=*/0, {}, false}), std::invalid_argument);
   ChannelCoupler::Params p;

@@ -171,37 +171,6 @@ TEST(MultiScheduler, EarlyExitStopsALaneAtStrideGranularity) {
   EXPECT_EQ(res.cycles, 5120u);
 }
 
-TEST(MultiScheduler, WorkerThreadsMatchSerialExactly) {
-  // Lanes are independent clock domains, so a 4-worker run must leave every
-  // lane in the same state as the serial run.
-  constexpr std::size_t kLanes = 6;
-  std::vector<std::unique_ptr<Scheduler>> serial_s, parallel_s;
-  std::vector<std::unique_ptr<Counter>> serial_c, parallel_c;
-  MultiScheduler serial, parallel;
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    for (auto* side : {&serial_s, &parallel_s}) {
-      side->push_back(std::make_unique<Scheduler>(200e6));
-    }
-    serial_c.push_back(std::make_unique<Counter>());
-    parallel_c.push_back(std::make_unique<Counter>());
-    serial_s[i]->add(*serial_c[i], "c");
-    parallel_s[i]->add(*parallel_c[i], "c");
-    const Cycle target = 1000 + 700 * i;
-    Counter* sc = serial_c[i].get();
-    Counter* pc = parallel_c[i].get();
-    serial.add(*serial_s[i], [sc, target] { return sc->ticks >= target; });
-    parallel.add(*parallel_s[i], [pc, target] { return pc->ticks >= target; });
-  }
-  const auto rs = serial.run(100'000, 256, /*workers=*/1);
-  const auto rp = parallel.run(100'000, 256, /*workers=*/4);
-  EXPECT_EQ(rs.cycles, rp.cycles);
-  EXPECT_EQ(rs.lanes_finished, rp.lanes_finished);
-  for (std::size_t i = 0; i < kLanes; ++i) {
-    EXPECT_EQ(serial_c[i]->ticks, parallel_c[i]->ticks) << "lane " << i;
-    EXPECT_EQ(serial.lane_cycles(i), parallel.lane_cycles(i)) << "lane " << i;
-  }
-}
-
 TEST(MultiScheduler, BudgetExhaustionReportsUnfinishedLanes) {
   Scheduler s1(200e6);
   Counter a;
@@ -427,8 +396,8 @@ TEST(Quiescence, WakeLandsOnTheLegacyCycleEitherSideOfTheProducer) {
 
 TEST(Quiescence, SplitRunsMatchOneRun) {
   // run_cycles(a); run_cycles(b) with idle-skip must equal one every-tick
-  // (a+b) run — the settle/re-partition at the boundary is what
-  // MultiScheduler strides rely on.
+  // (a+b) run — the settle at the boundary, with the wake state kept, is
+  // what Testbench's repeated runs rely on.
   Scheduler one(200e6), split(200e6);
   one.set_idle_skip(false);
   PeriodicWorker w1(97), w2(97);
@@ -560,6 +529,179 @@ TEST(Scheduler, RunUntilStopsOnTheSameCycleWithAndWithoutIdleSkip) {
   ASSERT_TRUE(every_tick.rx.has_value());
   EXPECT_EQ(every_tick.rx, skipping.rx);
   EXPECT_EQ(every_tick.after_rx, skipping.after_rx);
+}
+
+TEST(MultiScheduler, WorkerThreadsMatchSerialExactly) {
+  // Lanes are independent clock domains, so a 4-worker run must leave every
+  // lane in the same state as the serial run. Two lane mixes: always-busy
+  // lanes retiring at different rounds, and mostly-idle lanes, whose rounds
+  // mostly have fewer than two due lanes and run inline on the calling
+  // thread instead of on the pool.
+  struct Side {
+    MultiScheduler multi;
+    std::vector<std::unique_ptr<Scheduler>> scheds;
+    std::vector<std::unique_ptr<Counter>> counters;
+    std::vector<std::unique_ptr<PeriodicWorker>> workers;
+  };
+  for (const bool idle_mix : {false, true}) {
+    SCOPED_TRACE(idle_mix ? "mostly-idle lanes" : "busy lanes");
+    const std::size_t lanes = idle_mix ? 4 : 6;
+    const Cycle budget = idle_mix ? 50'000 : 100'000;
+    Side serial, parallel;
+    for (Side* side : {&serial, &parallel}) {
+      for (std::size_t i = 0; i < lanes; ++i) {
+        Scheduler& s = *side->scheds.emplace_back(std::make_unique<Scheduler>(200e6));
+        if (idle_mix) {
+          const Cycle period = i == 0 ? 97 : 3'000 + 1'100 * i;
+          s.add(*side->workers.emplace_back(std::make_unique<PeriodicWorker>(period)), "w");
+          side->multi.add(s);
+        } else {
+          Counter* c = side->counters.emplace_back(std::make_unique<Counter>()).get();
+          s.add(*c, "c");
+          const Cycle target = 1000 + 700 * i;
+          side->multi.add(s, [c, target] { return c->ticks >= target; });
+        }
+      }
+    }
+    const auto rs = serial.multi.run(budget, 256, /*workers=*/1);
+    const auto rp = parallel.multi.run(budget, 256, /*workers=*/4);
+    EXPECT_EQ(rs.cycles, rp.cycles);
+    EXPECT_EQ(rs.lanes_finished, rp.lanes_finished);
+    for (std::size_t i = 0; i < lanes; ++i) {
+      EXPECT_EQ(serial.multi.lane_cycles(i), parallel.multi.lane_cycles(i)) << "lane " << i;
+      EXPECT_EQ(serial.multi.lane_rounds_skipped(i), parallel.multi.lane_rounds_skipped(i))
+          << "lane " << i;
+      if (idle_mix) {
+        EXPECT_EQ(serial.workers[i]->work_log, parallel.workers[i]->work_log) << "lane " << i;
+        EXPECT_EQ(serial.workers[i]->clock(), parallel.workers[i]->clock()) << "lane " << i;
+        EXPECT_EQ(parallel.workers[i]->clock(), budget) << "lane " << i;
+      } else {
+        EXPECT_EQ(serial.counters[i]->ticks, parallel.counters[i]->ticks) << "lane " << i;
+      }
+    }
+    if (idle_mix) {
+      EXPECT_GT(parallel.multi.lane_rounds_skipped(1), 0u);
+    }
+  }
+}
+
+/// Sleeps until woken and counts how often its bound is asked for.
+class CountingSleeper : public Clockable {
+ public:
+  void tick() override { ++clock; }
+  Cycle quiescent_for() const override {
+    ++queries;
+    return kIdleForever;
+  }
+  void skip_idle(Cycle n) override { clock += n; }
+  mutable u64 queries = 0;
+  Cycle clock = 0;
+};
+
+TEST(Quiescence, RunBoundaryDoesNotQuerySleepers) {
+  // The wake state survives run boundaries: a sleeper's bound is asked for
+  // once, when the state is built, not at every run entry and exit.
+  Scheduler s(200e6);
+  CountingSleeper z;
+  s.add(z, "z");
+  for (int i = 0; i < 1'000; ++i) s.run_cycles(1);
+  EXPECT_LE(z.queries, 2u);
+  EXPECT_EQ(z.clock, 1'000u);  // Settled at every return all the same.
+}
+
+/// Consumer of time-stamped input: handles it in the tick at cycle `at`,
+/// sleeps otherwise. Its input may arrive early (a coupler's round edge).
+class StampedConsumer : public Clockable {
+ public:
+  void tick() override {
+    if (clock_ == due_) rx_log.push_back(clock_);
+    ++clock_;
+  }
+  Cycle quiescent_for() const override {
+    if (due_ == kIdleForever || due_ < clock_) return kIdleForever;
+    return due_ - clock_;
+  }
+  void skip_idle(Cycle n) override { clock_ += n; }
+  void deliver_at(Cycle at) {
+    wake_self();
+    due_ = at;
+  }
+  Cycle clock() const noexcept { return clock_; }
+  std::vector<Cycle> rx_log;
+
+ private:
+  Cycle due_ = kIdleForever;
+  Cycle clock_ = 0;
+};
+
+TEST(Quiescence, WakeBetweenRunsLandsOnTheEveryTickCycle) {
+  // Plain scheduler: input pushed between two runs is seen by the first
+  // tick of the next run, with the sleeper's account caught up.
+  struct Plain {
+    std::vector<Cycle> rx;
+    Cycle clock;
+  };
+  const auto plain = [](bool idle_skip) {
+    Scheduler s(200e6);
+    s.set_idle_skip(idle_skip);
+    MailboxConsumer c;
+    PeriodicWorker w(300);
+    s.add(w, "w");
+    s.add(c, "c");
+    s.run_cycles(100);
+    c.push();
+    EXPECT_EQ(c.clock(), s.now());
+    s.run_cycles(1'000);
+    return Plain{c.rx_log, c.clock()};
+  };
+  const Plain pe = plain(false), ps = plain(true);
+  EXPECT_EQ(pe.rx, std::vector<Cycle>{100});
+  EXPECT_EQ(ps.rx, pe.rx);
+  EXPECT_EQ(ps.clock, pe.clock);
+
+  // MultiScheduler: a round hook delivers at the round edge, as
+  // ChannelCoupler::exchange does, into a lane whose rounds were skipped.
+  // Inside the edge hook and after run() every sleeper is settled.
+  struct Multi {
+    std::vector<Cycle> rx;
+    Cycle consumer_clock, worker_clock;
+    std::vector<Cycle> work;
+  };
+  const auto multi = [](bool idle_skip, unsigned workers) {
+    Scheduler s0(200e6), s1(200e6);
+    s0.set_idle_skip(idle_skip);
+    s1.set_idle_skip(idle_skip);
+    StampedConsumer c;
+    PeriodicWorker w(5'000);
+    s0.add(c, "c");
+    s1.add(w, "w");
+    MultiScheduler ms;
+    ms.add(s0);
+    ms.add(s1);
+    Cycle edge = 0;
+    ms.set_round_hook([&] {
+      edge += 256;
+      if (edge == 768) c.deliver_at(edge + 10);
+    });
+    ms.set_edge_hook(1'024, [&](Cycle at) {
+      EXPECT_EQ(s0.now(), at);
+      EXPECT_EQ(c.clock(), at) << "settled at the edge hook";
+      EXPECT_EQ(w.clock(), at) << "settled at the edge hook";
+    });
+    ms.run(4'000, 256, workers);
+    EXPECT_EQ(c.clock(), s0.now()) << "settled at run() return";
+    EXPECT_EQ(w.clock(), s1.now()) << "settled at run() return";
+    return Multi{c.rx_log, c.clock(), w.clock(), w.work_log};
+  };
+  const Multi me = multi(false, 1);
+  EXPECT_EQ(me.rx, std::vector<Cycle>{778});
+  for (const unsigned workers : {1u, 2u}) {
+    const Multi mk = multi(true, workers);
+    EXPECT_EQ(mk.rx, me.rx) << "workers=" << workers;
+    EXPECT_EQ(mk.consumer_clock, me.consumer_clock) << "workers=" << workers;
+    EXPECT_EQ(mk.worker_clock, me.worker_clock) << "workers=" << workers;
+    EXPECT_EQ(mk.work, me.work) << "workers=" << workers;
+  }
 }
 
 TEST(Scheduler, AddDuringARunThrows) {
