@@ -1,7 +1,6 @@
-// Shared infrastructure for the bench binaries that regenerate the paper's
-// tables and figures (thesis Chs. 5-6). Each binary prints the same rows /
-// series the paper reports; see EXPERIMENTS.md for the paper-vs-measured
-// record.
+// Shared infrastructure for the bench binaries: bench_paper, which
+// regenerates the paper's tables and figures (thesis Chs. 5-6), and the
+// ablation and fleet benches.
 #pragma once
 
 #include <algorithm>

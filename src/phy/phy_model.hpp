@@ -53,7 +53,9 @@ class MediumClient {
 class Medium : public sim::Clockable {
  public:
   Medium(mac::Protocol proto, const sim::TimeBase& tb)
-      : proto_(proto), byte_cycles_(tb.arch_freq() * 8.0 / timing().line_rate_bps) {}
+      : proto_(proto),
+        timing_(mac::timing_for(proto)),
+        byte_cycles_(tb.arch_freq() * 8.0 / timing_.line_rate_bps) {}
 
   /// Listener id for receivers outside any audibility matrix (access points,
   /// point-to-point peers, passive sinks): they hear every transmitter.
@@ -68,11 +70,7 @@ class Medium : public sim::Clockable {
   }
 
   mac::Protocol protocol() const noexcept { return proto_; }
-  const mac::ProtocolTiming& timing() const {
-    static thread_local mac::ProtocolTiming t;
-    t = mac::timing_for(proto_);
-    return t;
-  }
+  const mac::ProtocolTiming& timing() const noexcept { return timing_; }
 
   /// Ground truth: is any transmission on the air this cycle?
   bool busy() const noexcept { return now_ < tx_end_; }
@@ -263,6 +261,7 @@ class Medium : public sim::Clockable {
   }
 
   mac::Protocol proto_;
+  const mac::ProtocolTiming timing_;
   double byte_cycles_;
   Cycle now_ = 0;
   Cycle tx_end_ = 0;

@@ -102,6 +102,18 @@ TEST_F(MediumTest, DeliversToClientsExceptSource) {
   EXPECT_EQ(sink.got, 1);
 }
 
+TEST(MediumTiming, HeldReferenceIsNotOverwrittenByAnotherMedium) {
+  // BackoffRfu::on_execute holds timing() across its body: a later call on
+  // another band's medium must not change the values it reads.
+  const sim::TimeBase tb(200e6);
+  const Medium wifi(mac::Protocol::WiFi, tb);
+  const Medium wimax(mac::Protocol::WiMax, tb);
+  const mac::ProtocolTiming& t = wifi.timing();
+  EXPECT_EQ(wimax.timing().line_rate_bps, 20e6);
+  EXPECT_EQ(t.sifs_us, 10.0);
+  EXPECT_EQ(t.line_rate_bps, 11e6);
+}
+
 TEST(PhyTxTest, HonoursEarliestStart) {
   sim::Scheduler sched(200e6);
   sim::TimeBase tb(200e6);
