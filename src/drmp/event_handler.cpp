@@ -76,16 +76,19 @@ void EventHandler::rx_snoop(Mode m, const Bytes& frame) {
   }
   const bool nav_on =
       env_.idents[i].nav_enabled && env_.nav[i] != nullptr && env_.tb != nullptr;
+  // Collided, garbled and corrupted deliveries are noise. The FCS verdict
+  // is the medium's, judged once per delivered image for every listener.
+  const phy::Medium& medium = *media_[i];
   u16 dur_us = 0;
-  if (const auto ctl = mac::wifi::parse_control(frame)) {
-    if (!ctl->fcs_ok) return;  // Collided/garbled deliveries are noise.
+  if (const auto ctl = mac::wifi::decode_control(frame)) {
+    if (!medium.fcs_ok(frame)) return;
     if (ctl->fc.subtype == mac::wifi::Subtype::CfEnd ||
         ctl->fc.subtype == mac::wifi::Subtype::CfEndAck) {
       // NAV truncation (802.11: "stations receiving a CF-End frame shall
       // reset their NAV"): the contention-free period closed early, so any
       // reservation covering its remainder is void. The reset wakes
       // sleeping deferrers so they re-contend immediately.
-      if (nav_on) env_.nav[i]->reset(media_[i]->now());
+      if (nav_on) env_.nav[i]->reset(medium.now());
       return;
     }
     if (ctl->ra.to_u64() == env_.idents[i].self_addr) {
@@ -108,9 +111,9 @@ void EventHandler::rx_snoop(Mode m, const Bytes& frame) {
     dur_us = ctl->duration_us;
   } else {
     if (!nav_on) return;  // Data durations only matter to an enabled NAV.
-    const auto mpdu = mac::wifi::parse_data_mpdu(frame);
-    if (!mpdu || !mpdu->fcs_ok ||
-        mpdu->hdr.addr1.to_u64() == env_.idents[i].self_addr) {
+    const auto mpdu = mac::wifi::parse_mpdu_header(frame);
+    if (!mpdu || mpdu->hdr.addr1.to_u64() == env_.idents[i].self_addr ||
+        !medium.fcs_ok(frame)) {
       return;
     }
     dur_us = mpdu->hdr.duration_us;
@@ -119,7 +122,7 @@ void EventHandler::rx_snoop(Mode m, const Bytes& frame) {
   // station announces how long its exchange keeps the medium reserved, and
   // the reservation counts from the frame's end — which is exactly now.
   if (!nav_on || dur_us == 0) return;
-  const Cycle now = media_[i]->now();
+  const Cycle now = medium.now();
   env_.nav[i]->arm(now + env_.tb->us_to_cycles(static_cast<double>(dur_us)), now);
 }
 

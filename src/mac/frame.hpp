@@ -79,4 +79,9 @@ struct MacAddr {
 
 inline constexpr u64 kBroadcastMac = 0xFFFFFFFFFFFFull;
 
+/// True when the last four bytes hold, little-endian, the CRC-32 of every
+/// byte before them: the Frame Check Sequence layout WiFi and UWB share
+/// (thesis §2.3.2.1 commonality #2). False for frames shorter than an FCS.
+bool trailing_fcs_ok(std::span<const u8> frame);
+
 }  // namespace drmp::mac

@@ -72,22 +72,31 @@ Bytes build_imm_ack(u16 pnid, u8 dest_id, u8 src_id) {
   return out;
 }
 
-std::optional<ParsedFrame> parse_frame(std::span<const u8> frame) {
+std::optional<FrameHeader> parse_header(std::span<const u8> frame) {
   if (frame.size() < kHdrBytes + kHcsBytes) return std::nullopt;
-  ParsedFrame p;
-  p.hdr = Header::decode(frame.subspan(0, kHdrBytes));
+  FrameHeader h;
+  h.hdr = Header::decode(frame.subspan(0, kHdrBytes));
   const u16 hcs = get_le16(frame, kHdrBytes);
-  p.hcs_ok = (hcs == crypto::Crc16Ccitt::compute(frame.subspan(0, kHdrBytes)));
+  h.hcs_ok = (hcs == crypto::Crc16Ccitt::compute(frame.subspan(0, kHdrBytes)));
+  if (frame.size() == kHdrBytes + kHcsBytes) return h;  // Header-only (Imm-ACK).
+  if (frame.size() < kHdrBytes + kHcsBytes + kFcsBytes) return std::nullopt;
+  h.body_len = frame.size() - kHdrBytes - kHcsBytes - kFcsBytes;
+  return h;
+}
+
+std::optional<ParsedFrame> parse_frame(std::span<const u8> frame) {
+  const auto h = parse_header(frame);
+  if (!h) return std::nullopt;
+  ParsedFrame p;
+  p.hdr = h->hdr;
+  p.hcs_ok = h->hcs_ok;
   if (frame.size() == kHdrBytes + kHcsBytes) {
     p.fcs_ok = true;  // Header-only frame (Imm-ACK).
     return p;
   }
-  if (frame.size() < kHdrBytes + kHcsBytes + kFcsBytes) return std::nullopt;
-  const std::size_t body_len = frame.size() - kHdrBytes - kHcsBytes - kFcsBytes;
-  const auto body = frame.subspan(kHdrBytes + kHcsBytes, body_len);
+  const auto body = frame.subspan(kHdrBytes + kHcsBytes, h->body_len);
   p.body.assign(body.begin(), body.end());
-  const u32 fcs = get_le32(frame, frame.size() - kFcsBytes);
-  p.fcs_ok = (fcs == crypto::Crc32::compute(frame.subspan(0, frame.size() - kFcsBytes)));
+  p.fcs_ok = trailing_fcs_ok(frame);
   return p;
 }
 

@@ -67,4 +67,15 @@ struct ParsedFrame {
 
 std::optional<ParsedFrame> parse_frame(std::span<const u8> frame);
 
+/// A frame's header, HCS verdict and body length (0 for header-only frames).
+struct FrameHeader {
+  Header hdr;
+  std::size_t body_len = 0;
+  bool hcs_ok = false;
+};
+
+/// parse_frame without the body copy and the FCS check, for callers that
+/// need neither; nullopt exactly when parse_frame is.
+std::optional<FrameHeader> parse_header(std::span<const u8> frame);
+
 }  // namespace drmp::mac::uwb

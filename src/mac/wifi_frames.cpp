@@ -84,17 +84,25 @@ Bytes build_ack(const MacAddr& ra, u16 duration_us) {
   return out;
 }
 
-std::optional<ParsedMpdu> parse_data_mpdu(std::span<const u8> mpdu) {
+std::optional<MpduHeader> parse_mpdu_header(std::span<const u8> mpdu) {
   if (mpdu.size() < kHdrBytes + kHcsBytes + kFcsBytes) return std::nullopt;
-  ParsedMpdu p;
-  p.hdr = DataHeader::decode(mpdu.subspan(0, kHdrBytes));
+  MpduHeader h;
+  h.hdr = DataHeader::decode(mpdu.subspan(0, kHdrBytes));
   const u16 hcs = get_le16(mpdu, kHdrBytes);
-  p.hcs_ok = (hcs == crypto::Crc16Ccitt::compute(mpdu.subspan(0, kHdrBytes)));
-  const std::size_t body_len = mpdu.size() - kHdrBytes - kHcsBytes - kFcsBytes;
-  const auto body = mpdu.subspan(kHdrBytes + kHcsBytes, body_len);
+  h.hcs_ok = (hcs == crypto::Crc16Ccitt::compute(mpdu.subspan(0, kHdrBytes)));
+  h.body_len = mpdu.size() - kHdrBytes - kHcsBytes - kFcsBytes;
+  return h;
+}
+
+std::optional<ParsedMpdu> parse_data_mpdu(std::span<const u8> mpdu) {
+  const auto h = parse_mpdu_header(mpdu);
+  if (!h) return std::nullopt;
+  ParsedMpdu p;
+  p.hdr = h->hdr;
+  p.hcs_ok = h->hcs_ok;
+  const auto body = mpdu.subspan(kHdrBytes + kHcsBytes, h->body_len);
   p.body.assign(body.begin(), body.end());
-  const u32 fcs = get_le32(mpdu, mpdu.size() - kFcsBytes);
-  p.fcs_ok = (fcs == crypto::Crc32::compute(mpdu.subspan(0, mpdu.size() - kFcsBytes)));
+  p.fcs_ok = trailing_fcs_ok(mpdu);
   return p;
 }
 
@@ -181,6 +189,12 @@ Bytes build_beacon(const MacAddr& bssid, u16 seq, const BeaconBody& body) {
 }
 
 std::optional<ParsedCtl> parse_control(std::span<const u8> frame) {
+  auto p = decode_control(frame);
+  if (p) p->fcs_ok = trailing_fcs_ok(frame);
+  return p;
+}
+
+std::optional<ParsedCtl> decode_control(std::span<const u8> frame) {
   if (frame.size() != kAckBytes && frame.size() != kRtsBytes) return std::nullopt;
   ParsedCtl p;
   p.fc = FrameControl::decode(get_le16(frame, 0));
@@ -198,8 +212,6 @@ std::optional<ParsedCtl> parse_control(std::span<const u8> frame) {
   if (!short_form) {
     std::copy(frame.begin() + 10, frame.begin() + 16, p.ta.b.begin());
   }
-  const u32 fcs = get_le32(frame, frame.size() - kFcsBytes);
-  p.fcs_ok = (fcs == crypto::Crc32::compute(frame.subspan(0, frame.size() - kFcsBytes)));
   return p;
 }
 
@@ -210,8 +222,7 @@ bool is_ack(std::span<const u8> frame, const MacAddr& expected_ra) {
   MacAddr ra;
   std::copy(frame.begin() + 4, frame.begin() + 10, ra.b.begin());
   if (!(ra == expected_ra)) return false;
-  const u32 fcs = get_le32(frame, frame.size() - kFcsBytes);
-  return fcs == crypto::Crc32::compute(frame.subspan(0, frame.size() - kFcsBytes));
+  return trailing_fcs_ok(frame);
 }
 
 }  // namespace drmp::mac::wifi

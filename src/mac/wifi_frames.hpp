@@ -146,6 +146,9 @@ struct ParsedCtl {
 /// Parses an ACK/CTS/RTS control frame; nullopt if the size/type does not
 /// match any control layout.
 std::optional<ParsedCtl> parse_control(std::span<const u8> frame);
+/// parse_control without the FCS check (fcs_ok stays false), for callers
+/// that take the verdict from elsewhere; nullopt exactly when it is.
+std::optional<ParsedCtl> decode_control(std::span<const u8> frame);
 
 struct ParsedMpdu {
   DataHeader hdr;
@@ -157,6 +160,17 @@ struct ParsedMpdu {
 /// Parses and validates a data MPDU; returns nullopt if structurally invalid
 /// (too short). CRC failures are reported via the flags.
 std::optional<ParsedMpdu> parse_data_mpdu(std::span<const u8> mpdu);
+
+/// A data MPDU's header, HCS verdict and body length.
+struct MpduHeader {
+  DataHeader hdr;
+  std::size_t body_len = 0;
+  bool hcs_ok = false;
+};
+
+/// parse_data_mpdu without the body copy and the FCS check, for callers
+/// that need neither; nullopt exactly when parse_data_mpdu is.
+std::optional<MpduHeader> parse_mpdu_header(std::span<const u8> mpdu);
 
 /// True if `frame` is an ACK control frame with a valid FCS.
 bool is_ack(std::span<const u8> frame, const MacAddr& expected_ra);

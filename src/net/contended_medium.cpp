@@ -10,7 +10,7 @@
 namespace drmp::net {
 
 ContendedMedium::ContendedMedium(mac::Protocol proto, const sim::TimeBase& tb, Params p)
-    : Medium(proto, tb), params_(std::move(p)) {
+    : Medium(proto, tb, /*sleeps=*/true), params_(std::move(p)) {
   const mac::ProtocolTiming t = mac::timing_for(proto);
   double latency_us = params_.cca_latency_us;
   if (latency_us < 0.0) latency_us = mac::cca_latency_default_us(t);
@@ -149,6 +149,9 @@ void ContendedMedium::jam(Tx& t, u64 both) {
 }
 
 Cycle ContendedMedium::begin_tx(Bytes frame, int source) {
+  // Woken first, so a sleeping medium's clock and latch are caught up to
+  // its lane's before the start cycle is stamped.
+  wake_self();
   wake_subscribers();
   const Cycle end = now_ + frame_air_cycles(frame.size());
   const int uidx = matrix_index(source);
@@ -304,12 +307,15 @@ void ContendedMedium::deliver_per_listener(Tx& t) {
     // exactly (garble first, then the fault injector).
     garble(t.frame);
     if (tamper && tamper(t.frame)) ++tampered_;
+    publish_image(&t.frame);
     for (phy::MediumClient* c : jammed) c->on_frame(t.frame, t.end, t.source);
+    publish_image(nullptr);
     return;
   }
   const bool tampered_now = tamper && tamper(t.frame);
   if (tampered_now) ++tampered_;
   for (int id : clean_ids) note_rx_quality(id, t.end, tampered_now);
+  publish_image(&t.frame);
   for (phy::MediumClient* c : clean) c->on_frame(t.frame, t.end, t.source);
   if (!jammed.empty()) {
     // Mixed footprints (non-trivial matrices only): the jammed listeners'
@@ -319,9 +325,11 @@ void ContendedMedium::deliver_per_listener(Tx& t) {
     Bytes g = arena_.acquire();
     g.assign(t.frame.begin(), t.frame.end());
     garble(g);
+    publish_image(&g);
     for (phy::MediumClient* c : jammed) c->on_frame(g, t.end, t.source);
     arena_.release(std::move(g));
   }
+  publish_image(nullptr);
 }
 
 void ContendedMedium::tick() {
@@ -413,13 +421,14 @@ void ContendedMedium::tick() {
 bool ContendedMedium::cca_busy(int listener) const noexcept {
   const int li = matrix_index(listener);
   if (li < 0) return cca_busy_;
+  const Cycle now = this->now();
   for (const Tx& t : on_air_) {
     if (t.src_idx >= 0 &&
         !params_.audibility.hears(static_cast<std::size_t>(li),
                                   static_cast<std::size_t>(t.src_idx))) {
       continue;
     }
-    if (perceived(t, now_)) return true;
+    if (perceived(t, now)) return true;
   }
   return false;
 }
@@ -427,6 +436,7 @@ bool ContendedMedium::cca_busy(int listener) const noexcept {
 Cycle ContendedMedium::cca_idle_for(int listener) const noexcept {
   const int li = matrix_index(listener);
   if (li < 0) return cca_idle_for();
+  const Cycle now = this->now();
   Cycle last = last_heard_[static_cast<std::size_t>(li)];
   bool busy_now = false;
   for (const Tx& t : on_air_) {
@@ -435,18 +445,18 @@ Cycle ContendedMedium::cca_idle_for(int listener) const noexcept {
                                   static_cast<std::size_t>(t.src_idx))) {
       continue;
     }
-    if (t.start + cca_latency_ > now_) continue;  // Onset still scheduled.
-    if (now_ < t.end + cca_latency_) busy_now = true;
-    last = std::max(last, std::min(now_, t.end + cca_latency_ - 1));
+    if (t.start + cca_latency_ > now) continue;  // Onset still scheduled.
+    if (now < t.end + cca_latency_) busy_now = true;
+    last = std::max(last, std::min(now, t.end + cca_latency_ - 1));
   }
-  return busy_now ? 0 : now_ - last;
+  return busy_now ? 0 : now - last;
 }
 
 Cycle ContendedMedium::cca_clear_at() const noexcept {
   // First clock value outside every perceived window [start+lat, end+lat),
   // given what is on the air now. Windows can chain, so advance through
   // them to a fixed point; new transmissions only push the answer later.
-  Cycle w = now_;
+  Cycle w = now();
   bool moved = true;
   while (moved) {
     moved = false;
@@ -463,7 +473,7 @@ Cycle ContendedMedium::cca_clear_at() const noexcept {
 Cycle ContendedMedium::cca_clear_at(int listener) const noexcept {
   const int li = matrix_index(listener);
   if (li < 0) return cca_clear_at();
-  Cycle w = now_;
+  Cycle w = now();
   bool moved = true;
   while (moved) {
     moved = false;
@@ -486,9 +496,10 @@ Cycle ContendedMedium::cca_busy_onset_at() const noexcept {
   // Perceived onsets already scheduled by the detection latency: a frame
   // that started at s becomes audible at reading s+latency, with no further
   // begin_tx involved.
+  const Cycle now = this->now();
   Cycle onset = sim::Clockable::kIdleForever;
   for (const Tx& t : on_air_) {
-    if (t.start + cca_latency_ >= now_) {
+    if (t.start + cca_latency_ >= now) {
       onset = std::min(onset, t.start + cca_latency_);
     }
   }
@@ -498,6 +509,7 @@ Cycle ContendedMedium::cca_busy_onset_at() const noexcept {
 Cycle ContendedMedium::cca_busy_onset_at(int listener) const noexcept {
   const int li = matrix_index(listener);
   if (li < 0) return cca_busy_onset_at();
+  const Cycle now = this->now();
   Cycle onset = sim::Clockable::kIdleForever;
   for (const Tx& t : on_air_) {
     if (t.src_idx >= 0 &&
@@ -505,7 +517,7 @@ Cycle ContendedMedium::cca_busy_onset_at(int listener) const noexcept {
                                   static_cast<std::size_t>(t.src_idx))) {
       continue;
     }
-    if (t.start + cca_latency_ >= now_) {
+    if (t.start + cca_latency_ >= now) {
       onset = std::min(onset, t.start + cca_latency_);
     }
   }

@@ -167,11 +167,18 @@ class ContendedMedium final : public phy::Medium {
 
   void tick() override;
 
-  // ---- Quiescence contract (sim/scheduler.hpp; global-skip-only like the
-  // base class) ----
+  // ---- Quiescence contract (sim/scheduler.hpp) ----
+  // Unlike the point-to-point base, this medium sleeps like any other
+  // component (it is constructed with sleeps=true). Its clock and every CCA
+  // view are derived from its lane's clock while it sleeps
+  // (phy::Medium::now()), and each input that could move its bound —
+  // begin_tx, begin_remote_tx, apply_audibility — wakes it first.
+
   /// Bound to the next delivery or perceived-carrier edge of anything on
   /// the air — long data frames are hundreds of thousands of architecture
-  /// cycles of pure occupancy accounting between edges.
+  /// cycles of pure occupancy accounting between edges. The CCA latch and
+  /// the per-listener records are constant over the bound, so every view
+  /// read from a sleeping medium equals the one its every-tick run shows.
   Cycle quiescent_for() const override;
   void skip_idle(Cycle n) override;
 

@@ -28,10 +28,11 @@ void ScriptedPeer::on_frame(const Bytes& frame, Cycle rx_end_cycle, int source) 
 
   switch (medium_.protocol()) {
     case mac::Protocol::WiFi: {
+      // The FCS verdict is the medium's, judged once per delivered image.
       // RTS handshake: a real peer answers CTS after SIFS (§2.3.2.2 #10).
-      if (const auto ctl = mac::wifi::parse_control(frame)) {
-        if (ctl->fc.subtype == mac::wifi::Subtype::Rts && ctl->fcs_ok &&
-            ctl->ra == wifi_addr_) {
+      if (const auto ctl = mac::wifi::decode_control(frame)) {
+        if (ctl->fc.subtype == mac::wifi::Subtype::Rts && ctl->ra == wifi_addr_ &&
+            medium_.fcs_ok(frame)) {
           ++rts_seen_;
           if (auto_cts_ && rx_end_cycle >= cts_nav_until_) {
             // The CTS inherits the RTS reservation minus the SIFS gap and
@@ -55,7 +56,7 @@ void ScriptedPeer::on_frame(const Bytes& frame, Cycle rx_end_cycle, int source) 
         }
         return;
       }
-      const auto parsed = mac::wifi::parse_data_mpdu(frame);
+      const auto parsed = mac::wifi::parse_mpdu_header(frame);
       if (!parsed || parsed->hdr.fc.type != mac::wifi::FrameType::Data) return;
       if (cfp_active()) {
         // Point-coordinator role: data from the polled station is
@@ -65,8 +66,8 @@ void ScriptedPeer::on_frame(const Bytes& frame, Cycle rx_end_cycle, int source) 
           ++cfp_nulls_rx_;
           return;
         }
-        if (parsed->hdr.fc.subtype == mac::wifi::Subtype::Data && parsed->fcs_ok &&
-            parsed->hcs_ok) {
+        if (parsed->hdr.fc.subtype == mac::wifi::Subtype::Data && parsed->hcs_ok &&
+            medium_.fcs_ok(frame)) {
           received_.push_back(frame);
           ++cfp_data_rx_;
           cfp_ack_pending_ = true;
@@ -79,7 +80,7 @@ void ScriptedPeer::on_frame(const Bytes& frame, Cycle rx_end_cycle, int source) 
         ++dropped_;
         return;
       }
-      if (auto_ack_ && parsed->fcs_ok) {
+      if (auto_ack_ && medium_.fcs_ok(frame)) {
         // ACK the transmitter (addr2) after SIFS — the hard real-time
         // response the DRMP's own ACK path must also honour. Inside a
         // SIFS-spaced fragment burst the ACK chains the NAV to the next

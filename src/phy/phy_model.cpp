@@ -2,6 +2,7 @@
 
 #include <stdexcept>
 
+#include "mac/frame.hpp"
 #include "sim/checkpoint.hpp"
 
 namespace drmp::phy {
@@ -40,7 +41,21 @@ void Medium::deliver(Bytes& frame, Cycle rx_end_cycle, int source, bool pre_dama
     bad = true;
   }
   record_rx_quality(source, rx_end_cycle, bad);
+  publish_image(&frame);
   for (const Attached& a : clients_) a.client->on_frame(frame, rx_end_cycle, source);
+  publish_image(nullptr);
+}
+
+bool Medium::fcs_ok(const Bytes& frame) const {
+  if (image_ == nullptr) {
+    ++fcs_checks_;
+    return mac::trailing_fcs_ok(frame);
+  }
+  if (image_fcs_ < 0) {
+    ++fcs_checks_;
+    image_fcs_ = mac::trailing_fcs_ok(*image_) ? 1 : 0;
+  }
+  return image_fcs_ == 1;
 }
 
 void Medium::tick() {

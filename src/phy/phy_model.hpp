@@ -17,6 +17,12 @@
 //     cells: overlap is a defined, counted outcome (collisions), carrier
 //     sense has a detection latency (the collision window), and an optional
 //     capture effect lets an established frame survive a late interferer.
+//
+// Scheduling: now() is the clock every-tick mode would show the caller, so
+// a medium may sleep between its edges and still be read live. The
+// contended backend does; this base stays eager (global_skip_only()).
+// Each delivery publishes the byte image in flight, and fcs_ok() judges it
+// once for every listener that asks.
 #pragma once
 
 #include <algorithm>
@@ -52,10 +58,7 @@ class MediumClient {
 /// This base class is the point-to-point backend; see the header comment.
 class Medium : public sim::Clockable {
  public:
-  Medium(mac::Protocol proto, const sim::TimeBase& tb)
-      : proto_(proto),
-        timing_(mac::timing_for(proto)),
-        byte_cycles_(tb.arch_freq() * 8.0 / timing_.line_rate_bps) {}
+  Medium(mac::Protocol proto, const sim::TimeBase& tb) : Medium(proto, tb, false) {}
 
   /// Listener id for receivers outside any audibility matrix (access points,
   /// point-to-point peers, passive sinks): they hear every transmitter.
@@ -73,10 +76,15 @@ class Medium : public sim::Clockable {
   const mac::ProtocolTiming& timing() const noexcept { return timing_; }
 
   /// Ground truth: is any transmission on the air this cycle?
-  bool busy() const noexcept { return now_ < tx_end_; }
-  Cycle now() const noexcept { return now_; }
+  bool busy() const noexcept { return now() < tx_end_; }
+  /// The channel clock: the value every-tick mode would show the caller. A
+  /// medium that sleeps (net::ContendedMedium) lags its scheduler while
+  /// asleep, so the clock adds the ticks it still owes: now()+1 of the
+  /// scheduler inside a cycle (the medium leads it), now() between runs.
+  /// An eager medium never owes any and skips the lookup.
+  Cycle now() const noexcept { return sleeps_ ? now_ + ticks_owed() : now_; }
   /// Cycles the medium has been continuously idle (for DIFS checks).
-  Cycle idle_for() const noexcept { return busy() ? 0 : now_ - tx_end_; }
+  Cycle idle_for() const noexcept { return busy() ? 0 : now() - tx_end_; }
 
   /// Carrier sense as a station's CCA circuit perceives it. Device-side
   /// transmit gates (PhyTx, BackoffRfu, ScriptedPeer) must use this view,
@@ -89,7 +97,7 @@ class Medium : public sim::Clockable {
   /// Earliest clock value at which cca_busy() could read false, given the
   /// transmissions currently on the air (new ones only push it later). A
   /// conservative sleep bound for transmit gates waiting on a clear channel.
-  virtual Cycle cca_clear_at() const noexcept { return std::max(now_, tx_end_); }
+  virtual Cycle cca_clear_at() const noexcept { return std::max(now(), tx_end_); }
   /// Earliest clock value at which cca_busy() could turn true *without* a
   /// new transmission. Always "never" on this live-view backend (only
   /// begin_tx — which wakes subscribers — can raise the carrier), but a
@@ -143,12 +151,15 @@ class Medium : public sim::Clockable {
   void tick() override;
 
   // ---- Quiescence contract (sim/scheduler.hpp) ----
-  /// A medium's visible state is time-derived — now(), idle_for() and
-  /// cca_idle_for() advance every cycle and are polled live by transmit
-  /// gates and access RFUs — so it is only skipped across globally-
-  /// quiescent gaps, where nothing can observe it, and its bound is the
-  /// distance to its next delivery event.
-  bool global_skip_only() const final { return true; }
+  /// A backend constructed to sleep (net::ContendedMedium) sleeps like any
+  /// component. This point-to-point backend stays eager: it is ticked every
+  /// cycle anything else is awake and skipped only across globally-
+  /// quiescent gaps, bounded by the distance to its next delivery event.
+  /// Its clock and views could be derived while asleep exactly as the
+  /// contended backend's are; the switch is left for a benchmark whose
+  /// peak-RSS figure does not scale with the paper testbench's speed (see
+  /// docs/ARCHITECTURE.md).
+  bool global_skip_only() const final { return !sleeps_; }
   Cycle quiescent_for() const override;
   void skip_idle(Cycle n) override;
 
@@ -194,6 +205,17 @@ class Medium : public sim::Clockable {
   /// call it themselves.
   void track_rx_quality() { track_rx_quality_ = true; }
 
+  // ---- Delivered-frame FCS verdict ----
+  /// FCS verdict (mac::trailing_fcs_ok) of a frame this medium delivers.
+  /// Inside a delivery (on_frame and whatever it calls) it is the verdict
+  /// of the byte image in flight — the intact frame or the garbled copy —
+  /// judged once however many listeners ask, so `frame` must be that image
+  /// or a copy of it. Outside a delivery `frame` itself is judged. Never
+  /// persisted: a verdict does not outlive its delivery.
+  bool fcs_ok(const Bytes& frame) const;
+  /// Full-frame FCS checks fcs_ok() has run (at most one per image).
+  u64 fcs_checks() const noexcept { return fcs_checks_; }
+
   /// Per-cell frame arena: a frame's bytes die here (delivered or expired),
   /// and the cell's TxBuffers draw next-frame storage from the same pool
   /// (bound by DrmpDevice at attach time), so steady-state traffic recycles
@@ -207,6 +229,14 @@ class Medium : public sim::Clockable {
   virtual void load_state(sim::snap::Reader& r);
 
  protected:
+  /// `sleeps`: the backend derives its clock and views from its lane while
+  /// asleep (see now()), so it need not be eager.
+  Medium(mac::Protocol proto, const sim::TimeBase& tb, bool sleeps)
+      : proto_(proto),
+        timing_(mac::timing_for(proto)),
+        byte_cycles_(tb.arch_freq() * 8.0 / timing_.line_rate_bps),
+        sleeps_(sleeps) {}
+
   template <class Ar>
   void persist_medium(Ar& ar) {
     ar.io(now_);
@@ -251,6 +281,12 @@ class Medium : public sim::Clockable {
       if (a.listener_id != source) note_rx_quality(a.listener_id, end, bad);
     }
   }
+  /// Publishes the byte image the following on_frame calls receive, for
+  /// fcs_ok() to judge once; null ends the delivery.
+  void publish_image(const Bytes* image) noexcept {
+    image_ = image;
+    image_fcs_ = -1;
+  }
   /// Wakes every carrier subscriber (call from begin_tx overrides).
   void wake_subscribers() {
     for (sim::Clockable* c : wake_subs_) c->wake_self();
@@ -263,6 +299,7 @@ class Medium : public sim::Clockable {
   mac::Protocol proto_;
   const mac::ProtocolTiming timing_;
   double byte_cycles_;
+  const bool sleeps_;  ///< See the protected constructor.
   Cycle now_ = 0;
   Cycle tx_end_ = 0;
   std::vector<Attached> clients_;
@@ -300,6 +337,9 @@ class Medium : public sim::Clockable {
   };
 
   std::vector<InFlight> in_flight_;
+  const Bytes* image_ = nullptr;  ///< See publish_image().
+  mutable int image_fcs_ = -1;    ///< image_'s verdict; -1 until asked.
+  mutable u64 fcs_checks_ = 0;
 };
 
 /// Device-side PHY transmitter: the PHY-side FSM of the Tx translational

@@ -87,11 +87,17 @@ void HeaderRfu::do_extract() {
   out_bytes_.clear();
   switch (c_state_) {
     case cfg::kProtoWifi: {
-      if (const auto p = mac::wifi::parse_data_mpdu(in_bytes_)) out_bytes_ = p->body;
+      if (const auto h = mac::wifi::parse_mpdu_header(in_bytes_)) {
+        const auto body = in_bytes_.begin() + mac::wifi::kHdrBytes + mac::wifi::kHcsBytes;
+        out_bytes_.assign(body, body + static_cast<std::ptrdiff_t>(h->body_len));
+      }
       break;
     }
     case cfg::kProtoUwb: {
-      if (const auto p = mac::uwb::parse_frame(in_bytes_)) out_bytes_ = p->body;
+      if (const auto h = mac::uwb::parse_header(in_bytes_)) {
+        const auto body = in_bytes_.begin() + mac::uwb::kHdrBytes + mac::uwb::kHcsBytes;
+        out_bytes_.assign(body, body + static_cast<std::ptrdiff_t>(h->body_len));
+      }
       break;
     }
     case cfg::kProtoWimax: {
@@ -117,7 +123,9 @@ void HeaderRfu::do_extract() {
 void HeaderRfu::do_parse() {
   // Decode in_bytes_ per the configured protocol; produce sparse status-word
   // writes (only the fields this parse actually determines — the FCS result
-  // written earlier by the Rx RFU must not be clobbered).
+  // written earlier by the Rx RFU must not be clobbered). WiFi and UWB take
+  // kFcsOk from the modelled FCS check, so their host-side parse runs no
+  // CRC-32 and copies no body; WiMAX writes kFcsOk from its own parse.
   status_out_.clear();
   auto set = [&](CtrlWord w, Word v) {
     status_out_.emplace_back(static_cast<u32>(w), v);
@@ -130,7 +138,7 @@ void HeaderRfu::do_parse() {
       // CTS (§2.3.2.2 #10 — the handshake is unique to WiFi).
       if (in_bytes_.size() == mac::wifi::kAckBytes ||
           in_bytes_.size() == mac::wifi::kRtsBytes) {
-        if (const auto c = mac::wifi::parse_control(in_bytes_)) {
+        if (const auto c = mac::wifi::decode_control(in_bytes_)) {
           set(CtrlWord::kParseOk, 1);
           set(CtrlWord::kHcsOk, 1);  // Control frames carry no HCS.
           set(CtrlWord::kFrameType,
@@ -145,7 +153,7 @@ void HeaderRfu::do_parse() {
           break;
         }
       }
-      const auto p = mac::wifi::parse_data_mpdu(in_bytes_);
+      const auto p = mac::wifi::parse_mpdu_header(in_bytes_);
       if (!p) break;
       set(CtrlWord::kParseOk, 1);
       set(CtrlWord::kHcsOk, p->hcs_ok ? 1 : 0);
@@ -161,7 +169,7 @@ void HeaderRfu::do_parse() {
       const u64 dst = p->hdr.addr1.to_u64();
       set(CtrlWord::kDstLo, static_cast<Word>(dst));
       set(CtrlWord::kDstHi, static_cast<Word>(dst >> 32));
-      set(CtrlWord::kBodyLen, static_cast<Word>(p->body.size()));
+      set(CtrlWord::kBodyLen, static_cast<Word>(p->body_len));
       // WiFi data frames are ACKed (DCF) — but PCF poll/null subtypes are
       // acknowledged by piggyback within the CFP, never with ACK frames.
       set(CtrlWord::kAckPolicy,
@@ -172,7 +180,7 @@ void HeaderRfu::do_parse() {
       break;
     }
     case cfg::kProtoUwb: {
-      const auto p = mac::uwb::parse_frame(in_bytes_);
+      const auto p = mac::uwb::parse_header(in_bytes_);
       if (!p) break;
       set(CtrlWord::kParseOk, 1);
       set(CtrlWord::kHcsOk, p->hcs_ok ? 1 : 0);
@@ -183,7 +191,7 @@ void HeaderRfu::do_parse() {
       set(CtrlWord::kRetry, p->hdr.retry ? 1 : 0);
       set(CtrlWord::kSrcLo, (static_cast<Word>(p->hdr.pnid) << 16) | p->hdr.src_id);
       set(CtrlWord::kDstLo, p->hdr.dest_id);
-      set(CtrlWord::kBodyLen, static_cast<Word>(p->body.size()));
+      set(CtrlWord::kBodyLen, static_cast<Word>(p->body_len));
       set(CtrlWord::kAckPolicy,
           p->hdr.ack_policy == mac::uwb::AckPolicy::ImmAck ? 1 : 0);
       break;

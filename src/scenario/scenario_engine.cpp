@@ -332,16 +332,25 @@ FleetStats ScenarioEngine::run() {
   // script actually needs edge processing.
   if (!couplers_.empty() &&
       (!spec_.coupled_reference || !reach_events_.empty())) {
+    // A hop over all-idle rounds (sim/multi_scheduler.hpp) drained nothing
+    // and stops at the next reach revision's edge, so the revision is still
+    // applied at exactly its own edge.
     const Cycle stride = effective_stride();
-    multi.set_round_hook([this, stride] {
-      for (const auto& coupler : couplers_) coupler->exchange();
-      hook_edge_ += stride;
-      while (reach_applied_ < reach_events_.size() &&
-             reach_events_[reach_applied_].edge <= hook_edge_) {
-        const ReachEvent& ev = reach_events_[reach_applied_++];
-        couplers_[ev.coupler]->set_reach(ev.reach);
-      }
-    });
+    multi.set_round_hook(
+        [this, stride](u64 rounds) {
+          for (const auto& coupler : couplers_) coupler->exchange();
+          hook_edge_ += rounds * stride;
+          while (reach_applied_ < reach_events_.size() &&
+                 reach_events_[reach_applied_].edge <= hook_edge_) {
+            const ReachEvent& ev = reach_events_[reach_applied_++];
+            couplers_[ev.coupler]->set_reach(ev.reach);
+          }
+        },
+        [this] {
+          return reach_applied_ < reach_events_.size()
+                     ? reach_events_[reach_applied_].edge - resume_base_
+                     : sim::Clockable::kIdleForever;
+        });
   }
   if (checkpoint_every_ != 0) {
     // The hook runs with every lane flushed onto the round edge — exactly

@@ -111,7 +111,56 @@ MultiScheduler::RunResult MultiScheduler::run(Cycle max_cycles, Cycle stride,
   }
 
   Cycle edge_next = edge_every_;
+  // Full rounds before `at` (run-relative) is reached or passed: a hop may
+  // land on the first round edge at or past it, never beyond.
+  const auto rounds_to = [&](Cycle at) -> Cycle {
+    return at > res.cycles ? (at - res.cycles - 1) / stride + 1 : 0;
+  };
+  // All-idle rounds ahead: full rounds in which no active lane is due, capped
+  // by the budget, the next checkpoint edge and the round hook's next edge.
+  const auto idle_rounds = [&]() -> Cycle {
+    Cycle rounds = (max_cycles - res.cycles) / stride;
+    for (std::size_t k = 0; k < active.size() && rounds > 0; ++k) {
+      const Scheduler& s = *lanes_[active[k]].sched;
+      const Cycle pos = s.now() + deferred[active[k]];
+      rounds = std::min(rounds, s.next_wake() > pos ? (s.next_wake() - pos) / stride : 0);
+    }
+    if (rounds > 0 && edge_hook_) rounds = std::min(rounds, rounds_to(edge_next));
+    if (rounds > 0 && next_edge_) rounds = std::min(rounds, rounds_to(next_edge_()));
+    return rounds;
+  };
+  // Closes `rounds` rounds at the current edge: the round hook, then the
+  // checkpoint edge hook when its multiple is due.
+  const auto close_edge = [&](u64 rounds) {
+    // Round-edge exchange (workers still parked): couplers deliver the
+    // events this round generated. Retired lanes' components may still be
+    // mutated here — their counters must keep absorbing cross-lane effects
+    // scheduled past the stop edge so collection-time statistics match a
+    // coupled reference that stopped at the same edge.
+    if (round_hook_) round_hook_(rounds);
+    // Checkpoint edge: flush and settle deferred lanes so every lane clock
+    // sits exactly on this round edge, then hand control to the hook. Gated
+    // on the due multiple — not every round — so round skipping keeps its
+    // effect between checkpoints.
+    if (edge_hook_ && res.cycles >= edge_next) {
+      for (std::size_t idx : active) flush_lane(idx);
+      edge_hook_(res.cycles);
+      edge_next = (res.cycles / edge_every_ + 1) * edge_every_;
+    }
+  };
   while (res.cycles < max_cycles && !active.empty()) {
+    if (const Cycle hop = idle_rounds(); hop > 0) {
+      // No lane runs, so none can finish: no done() is evaluated.
+      for (std::size_t idx : active) {
+        deferred[idx] += hop * stride;
+        lanes_[idx].rounds_skipped += hop;
+        lanes_[idx].stall_cycles += hop * stride;
+      }
+      res.cycles += hop * stride;
+      res.rounds += hop;
+      close_edge(hop);
+      continue;
+    }
     round.chunk = std::min<Cycle>(stride, max_cycles - res.cycles);
     round.next.store(0, std::memory_order_relaxed);
     // A round with fewer than two due lanes is run inline: releasing the
@@ -148,21 +197,7 @@ MultiScheduler::RunResult MultiScheduler::run(Cycle max_cycles, Cycle stride,
       }
     }
     active.resize(kept);
-    // Round-edge exchange (workers still parked): couplers deliver the
-    // events this round generated. Retired lanes' components may still be
-    // mutated here — their counters must keep absorbing cross-lane effects
-    // scheduled past the stop edge so collection-time statistics match a
-    // coupled reference that stopped at the same edge.
-    if (round_hook_) round_hook_();
-    // Checkpoint edge: flush and settle deferred lanes so every lane clock
-    // sits exactly on this round edge, then hand control to the hook. Gated
-    // on the due multiple — not every round — so round skipping keeps its
-    // effect between checkpoints.
-    if (edge_hook_ && res.cycles >= edge_next) {
-      for (std::size_t idx : active) flush_lane(idx);
-      edge_hook_(res.cycles);
-      edge_next = (res.cycles / edge_every_ + 1) * edge_every_;
-    }
+    close_edge(1);
   }
 
   // Bring skipped-but-unfinished lanes up to the lockstep clock, exactly as

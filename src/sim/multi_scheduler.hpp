@@ -33,6 +33,17 @@
 // exact and the results remain bit-identical to dispatching every round —
 // with any worker count.
 //
+// All-idle hops: when no active lane is due in a round, none is due before
+// the round that holds the earliest lane wake, and no lane can run, finish
+// or fill a coupler outbox in between. run() then crosses those rounds in
+// one step: every lane defers them as above, no done() is evaluated (a lane
+// that did not run cannot have finished), and the round hook is called once
+// with the number of rounds crossed. A hop never passes the next checkpoint
+// edge, the round hook's declared next edge (a scripted event it must see at
+// its own edge) or the cycle budget. Hopped rounds still count as rounds,
+// lane-rounds skipped and stall cycles, so every profile figure equals the
+// round-by-round run's.
+//
 // Lanes are driven through the scheduler's private loop, which keeps wake
 // state between calls and leaves sleepers unsettled (see sim/scheduler.hpp):
 // a dispatch costs O(woken). A lane is settled where its state is observed —
@@ -58,6 +69,15 @@ class MultiScheduler {
   /// runs for the full cycle budget. Returns the lane index.
   std::size_t add(Scheduler& sched, DonePredicate done = nullptr);
 
+  /// Round hook: receives the number of lockstep rounds the edge closes —
+  /// 1, or more after an all-idle hop (see the header comment).
+  using RoundHook = std::function<void(u64 rounds)>;
+  /// The run-relative cycle of the next round edge the round hook must see
+  /// on its own (a hop stops there), or Clockable::kIdleForever for none; a
+  /// cycle at or before the current edge disables hopping. Read before
+  /// every round.
+  using NextEdge = std::function<Cycle()>;
+
   /// Installs a hook invoked on the calling thread at the end of every
   /// lockstep round, after lanes ran and retirements were decided (workers
   /// are parked on the barrier). This is the lax-synchronization exchange
@@ -68,8 +88,13 @@ class MultiScheduler {
   /// between runs catches the component up to its lane's clock, re-inserts
   /// it and resets the lane's next_wake hint, so a round-skipped lane is
   /// dispatched again); it must schedule effects only at or after the
-  /// current round edge, or bit-identity across worker counts is lost.
-  void set_round_hook(std::function<void()> hook) { round_hook_ = std::move(hook); }
+  /// current round edge, or bit-identity across worker counts is lost. A
+  /// hook that acts on its own schedule, not only on what lanes generated,
+  /// declares its next such edge through `next_edge`.
+  void set_round_hook(RoundHook hook, NextEdge next_edge = nullptr) {
+    round_hook_ = std::move(hook);
+    next_edge_ = std::move(next_edge);
+  }
 
   /// Installs a hook fired at the first round edge at or past every multiple
   /// of `every` run-relative cycles, after the round hook, with workers
@@ -133,7 +158,8 @@ class MultiScheduler {
   };
 
   std::vector<Lane> lanes_;
-  std::function<void()> round_hook_;
+  RoundHook round_hook_;
+  NextEdge next_edge_;
   std::function<void(Cycle)> edge_hook_;
   Cycle edge_every_ = 0;
 };

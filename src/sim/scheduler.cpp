@@ -161,21 +161,20 @@ void Scheduler::wake_component(u32 idx) {
   if (!wake_valid_) return;  // The next run partitions from fresh bounds.
   CompState& st = states_[idx];
   if (!st.sleeping) return;
-  st.sleeping = false;
-  ++st.gen;  // Any wake-wheel entry for this sleep period is now stale.
-  if (st.in_wheel) {
-    st.in_wheel = false;
-    ++wheel_stale_;  // Woken early: its wheel entry lingers until purged.
-  }
   // Catch-up window: while mid-cycle, a target whose tick slot has not yet
   // passed this cycle owes [slept_from, now_) and then really ticks at now_
   // (every-tick mode would observe the just-delivered input this cycle); a
   // target whose slot already passed owes [slept_from, now_] and resumes at
   // now_+1 — exactly when every-tick mode would first see the input.
   // Between runs the target owes [slept_from, now_) and ticks at now_.
-  Cycle owed = now_ - st.slept_from;
-  if (in_cycle_ && idx <= cursor_) ++owed;
-  if (owed > 0) account_skip(idx, st.slept_from, owed);
+  const Cycle lag = owed(idx);
+  st.sleeping = false;
+  ++st.gen;  // Any wake-wheel entry for this sleep period is now stale.
+  if (st.in_wheel) {
+    st.in_wheel = false;
+    ++wheel_stale_;  // Woken early: its wheel entry lingers until purged.
+  }
+  if (lag > 0) account_skip(idx, st.slept_from, lag);
   active_.insert(idx);
   ++awake_lazy_;
 }

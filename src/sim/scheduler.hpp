@@ -71,11 +71,15 @@
 //     counters and fold n samples into busy/occupancy statistics. After
 //     skip_idle(n) the component must be in exactly the state n no-op
 //     tick() calls would have produced.
-//   * global_skip_only() — return true when the component's externally
-//     visible state is time-derived (media: now(), cca_idle_for() advance
-//     every cycle and are polled by other components). Such components are
+//   * global_skip_only() — return true to make the component *eager*:
 //     ticked every cycle while anything else is awake and skipped only
-//     across globally-quiescent gaps, where no observer can run.
+//     across globally-quiescent gaps, where no observer can run. Only the
+//     point-to-point phy::Medium still is (see its comment). A component
+//     whose externally read state is time-derived need not be eager: while
+//     it sleeps it can derive that state from its own clock plus
+//     ticks_owed() — the ticks it has skipped but not yet accounted, so
+//     the clock reads as every-tick mode would show it — as
+//     net::ContendedMedium does for now() and its CCA views.
 //
 // Wake invalidation: a quiescence bound is conditional on "no external
 // input". Every path that delivers input to a potentially-sleeping component
@@ -93,8 +97,8 @@
 // Globally-quiescent gaps: when every component is quiescent, the scheduler
 // fast-forwards now_ to the earliest wake bound (the timing wheel below holds
 // sleeping components' bounds), bulk-accounting the gap into every eager
-// component immediately so no state is ever stale at a cycle where anything
-// runs.
+// component immediately so no eager state is ever stale at a cycle where
+// anything runs.
 #pragma once
 
 #include <array>
@@ -147,14 +151,21 @@ class Clockable {
   /// quiescent_for) by any component that can report a non-zero bound.
   virtual void skip_idle(Cycle n) { (void)n; }
 
-  /// True when other components sample time-derived state from this one
-  /// (see the header comment): tick every cycle, skip only in global gaps.
+  /// True for an eager component (see the header comment): tick every
+  /// cycle, skip only in global gaps. Only the point-to-point medium is.
   virtual bool global_skip_only() const { return false; }
 
   /// Invalidates this component's quiescence bound: external input arrived.
   /// Safe to call at any time (no-op when awake, unregistered, or outside a
   /// run). Defined in scheduler.cpp.
   void wake_self() noexcept;
+
+  /// Skipped ticks not yet bulk-accounted: how far this component's own
+  /// clock lags the one every-tick mode would show a caller right now. 0
+  /// while awake, unregistered and in every-tick mode. A sleeping component
+  /// whose clock others read (a contended medium) adds it to its own.
+  /// Defined after Scheduler below.
+  Cycle ticks_owed() const noexcept;
 
  private:
   friend class Scheduler;
@@ -559,6 +570,14 @@ class Scheduler {
   void publish_next_wake();
   /// Catches a sleeping component up and re-inserts it into the active set.
   void wake_component(u32 idx);
+  /// Skipped ticks frozen component `idx` owes at this instant (see
+  /// Clockable::ticks_owed): the cycles wake_component would account.
+  Cycle owed(u32 idx) const noexcept {
+    if (!wake_valid_) return 0;
+    const CompState& st = states_[idx];
+    if (!st.sleeping) return 0;
+    return now_ - st.slept_from + (in_cycle_ && idx <= cursor_ ? 1 : 0);
+  }
   /// Bulk-accounts `owed` skipped ticks of frozen component `idx` from
   /// cycle `from`.
   void account_skip(u32 idx, Cycle from, Cycle owed);
@@ -634,5 +653,9 @@ class Scheduler {
   std::array<u64, 65> ff_gap_log2_{};
   SchedulerObserver* observer_ = nullptr;
 };
+
+inline Cycle Clockable::ticks_owed() const noexcept {
+  return wake_sched_ != nullptr ? wake_sched_->owed(wake_index_) : 0;
+}
 
 }  // namespace drmp::sim

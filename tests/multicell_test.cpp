@@ -243,7 +243,7 @@ TEST(CouplerLanes, PastForeignCarrierThrowsAtTheRoundEdge) {
   sim::MultiScheduler multi;
   multi.add(sa);
   multi.add(sb);
-  multi.set_round_hook([&] { coupler.exchange(); });
+  multi.set_round_hook([&](u64) { coupler.exchange(); });
   EXPECT_THROW(multi.run(/*max_cycles=*/4000, /*stride=*/1000), std::logic_error);
 }
 

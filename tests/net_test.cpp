@@ -7,8 +7,10 @@
 // RTS/CTS rescue of the classic hidden-pair topology.
 #include <gtest/gtest.h>
 
+#include <map>
 #include <stdexcept>
 
+#include "mac/wifi_frames.hpp"
 #include "net/audibility.hpp"
 #include "net/contended_medium.hpp"
 #include "scenario/scenario_engine.hpp"
@@ -310,6 +312,234 @@ TEST_F(ContendedMediumTest, HiddenTransmitterDoesNotJamDisjointFootprint) {
   EXPECT_EQ(edge.frames[0], pattern_frame(200, 3));
   EXPECT_EQ(sink.frames.size(), 2u);
   EXPECT_NE(sink.frames[0], pattern_frame(200, 3));
+}
+
+// ---- The sleeping medium ------------------------------------------------
+
+/// A stage-0 component that acts only at scripted cycles, so a lazy medium
+/// sleeps in between: it reads every view of the medium there and may start
+/// a transmission, logging what it saw.
+class MediumProbe : public sim::Clockable {
+ public:
+  MediumProbe(ContendedMedium& m, std::vector<int> listeners)
+      : m_(m), listeners_(std::move(listeners)) {}
+
+  /// Script a read at cycle `at` (kept when a transmission lands there too).
+  void read_at(Cycle at) { steps_.try_emplace(at, Tx{}); }
+  /// Script a read, then a begin_tx of `bytes` from `source`, at cycle `at`.
+  void tx_at(Cycle at, int source, std::size_t bytes) { steps_[at] = Tx{source, bytes}; }
+
+  void tick() override {
+    const auto it = steps_.find(clock_++);
+    if (it == steps_.end()) return;
+    read();
+    if (it->second.source < 0) return;
+    if (m_.ticks_owed() > 0) ++tx_while_asleep;
+    put(m_.now());  // The start cycle begin_tx stamps.
+    put(m_.begin_tx(pattern_frame(it->second.bytes, 5), it->second.source));
+    read();
+  }
+  Cycle quiescent_for() const override {
+    const auto it = steps_.lower_bound(clock_);
+    return it == steps_.end() ? kIdleForever : it->first - clock_;
+  }
+  void skip_idle(Cycle n) override { clock_ += n; }
+
+  /// Logs the clock and every carrier view, global and per listener.
+  void read() {
+    put(m_.now());
+    put(m_.busy());
+    put(m_.idle_for());
+    put(m_.cca_busy());
+    put(m_.cca_idle_for());
+    put(m_.cca_clear_at());
+    put(m_.cca_busy_onset_at());
+    for (const int l : listeners_) {
+      put(m_.cca_busy(l));
+      put(m_.cca_idle_for(l));
+      put(m_.cca_clear_at(l));
+      put(m_.cca_busy_onset_at(l));
+      put(m_.eifs_pending(l));
+    }
+  }
+
+  std::vector<Cycle> log;
+  u64 tx_while_asleep = 0;
+
+ private:
+  struct Tx {
+    int source = -1;  ///< -1: read only.
+    std::size_t bytes = 0;
+  };
+
+  void put(Cycle v) { log.push_back(v); }
+
+  ContendedMedium& m_;
+  std::vector<int> listeners_;
+  std::map<Cycle, Tx> steps_;
+  Cycle clock_ = 0;
+};
+
+TEST(SleepingMedium, ViewsAndTxStartsMatchEveryTick) {
+  // The medium sleeps between its delivery and perceived-carrier edges. A
+  // probe reads its clock and every CCA view on each side of every edge and
+  // on a sweep between them, and starts transmissions while it sleeps
+  // (overlapping ones included). Between runs a foreign-carrier image lands
+  // and the views are read again. Every reading and every stamped start must
+  // equal every-tick mode's, for the trivial matrix and a hidden-node one.
+  const std::vector<int> listeners = {10, 11, 12, 99, phy::Medium::kOmniListener};
+  constexpr Cycle kRemoteStart = 25'100;
+  constexpr Cycle kRemoteEnd = 33'000;
+  for (const bool hidden : {false, true}) {
+    const auto run = [&](bool idle_skip, u64* asleep, u64* medium_ticks) {
+      sim::TimeBase tb(200e6);
+      sim::Scheduler sched(200e6);
+      sched.set_idle_skip(idle_skip);
+      ContendedMedium::Params p;
+      if (hidden) p.audibility = AudibilityMatrix::hidden_pair(3, 0, 1);
+      p.deliver_garbled = true;
+      ContendedMedium m(mac::Protocol::WiFi, tb, p);
+      for (int s = 0; s < 3; ++s) m.map_station(10 + s, static_cast<std::size_t>(s));
+      m.track_rx_quality();
+      Sink sink;
+      m.attach(sink);
+      MediumProbe probe(m, listeners);
+      const Cycle lat = m.cca_latency_cycles();
+      const auto around = [&](Cycle edge) {
+        for (const Cycle at : {edge - 1, edge, edge + 1}) probe.read_at(at);
+      };
+      const auto tx = [&](Cycle at, int source, std::size_t bytes) {
+        probe.tx_at(at, source, bytes);
+        const Cycle end = at + m.frame_air_cycles(bytes);
+        around(at + lat);
+        around(end);
+        around(end + lat);
+      };
+      // The second frame overlaps the first, the third the foreign image.
+      tx(500, 10, 100);
+      tx(4'600, 11, 50);
+      tx(30'000, 12, 80);
+      tx(80'000, 10, 20);
+      around(kRemoteStart + lat);
+      around(kRemoteEnd + lat);
+      for (Cycle at = 100; at < 100'000; at += 1'237) probe.read_at(at);
+      sched.add(m, "medium", sim::Scheduler::kStageMedium);
+      sched.add(probe, "probe");
+      sched.run_cycles(25'000);
+      probe.read();  // Between runs: now() is the scheduler's clock.
+      m.begin_remote_tx(kRemoteStart, kRemoteEnd, 77);
+      probe.read();
+      sched.run_cycles(75'000);
+      probe.read();
+      *asleep = probe.tx_while_asleep;
+      for (const auto& st : sched.profile().stages) {
+        if (st.stage == sim::Scheduler::kStageMedium) *medium_ticks = st.executed;
+      }
+      probe.log.push_back(m.busy_cycles());
+      probe.log.push_back(m.collided_frames());
+      probe.log.push_back(sink.frames.size());
+      return probe.log;
+    };
+    u64 asleep_ref = 0, asleep = 0, ticks_ref = 0, ticks = 0;
+    const std::vector<Cycle> ref = run(false, &asleep_ref, &ticks_ref);
+    EXPECT_EQ(run(true, &asleep, &ticks), ref) << "hidden=" << hidden;
+    EXPECT_EQ(asleep_ref, 0u);
+    EXPECT_GE(asleep, 3u) << "begin_tx must find the medium asleep";
+    EXPECT_EQ(ticks_ref, 100'000u);
+    EXPECT_LT(ticks, 100u) << "the medium ticks only at its edges";
+  }
+}
+
+/// Records each delivered frame with the verdict its medium hands out.
+struct VerdictSink : phy::MediumClient {
+  explicit VerdictSink(const phy::Medium& m) : medium(m) {}
+  void on_frame(const Bytes& f, Cycle, int) override {
+    frames.push_back(f);
+    verdicts.push_back(medium.fcs_ok(f));
+    EXPECT_EQ(medium.fcs_ok(f), verdicts.back()) << "a repeated ask agrees";
+  }
+  const phy::Medium& medium;
+  std::vector<Bytes> frames;
+  std::vector<bool> verdicts;
+};
+
+TEST(SleepingMedium, FcsVerdictIsJudgedOncePerImage) {
+  // Station 0's data frame is heard clean by listeners 2 and 4 and jammed
+  // at listener 3, which also hears station 1's overlapping frame: one
+  // delivery hands out the intact image and a garbled copy. A later frame
+  // is corrupted by the fault injector for every listener, and a clean ACK
+  // follows. Each listener's verdict must equal what a direct parse of its
+  // bytes says, and the medium must run the full-frame CRC-32 at most once
+  // per image however many listeners ask.
+  sim::TimeBase tb(200e6);
+  sim::Scheduler sched(200e6);
+  ContendedMedium::Params p;
+  p.deliver_garbled = true;
+  // Listeners 2 and 4 hear station 0 only; listener 3 hears stations 0 and 1.
+  AudibilityMatrix hears = AudibilityMatrix::from_bits(5, std::vector<u8>(25, 0));
+  for (std::size_t s = 0; s < 5; ++s) hears.set(s, s, true);
+  hears.set(2, 0, true);
+  hears.set(4, 0, true);
+  hears.set(3, 0, true);
+  hears.set(3, 1, true);
+  p.audibility = hears;
+  ContendedMedium m(mac::Protocol::WiFi, tb, p);
+  for (int s = 0; s < 5; ++s) m.map_station(s, static_cast<std::size_t>(s));
+  VerdictSink clean_a(m), clean_b(m), jammed(m);
+  m.attach(clean_a, 2);
+  m.attach(jammed, 3);
+  m.attach(clean_b, 4);
+  sched.add(m, "medium", sim::Scheduler::kStageMedium);
+  bool corrupt = false;
+  m.tamper = [&](Bytes& f) {
+    if (!corrupt) return false;
+    f[f.size() / 2] ^= 0x10;
+    return true;
+  };
+  mac::wifi::DataHeader h;
+  h.addr1 = mac::MacAddr::from_u64(0x0A);
+  h.addr2 = mac::MacAddr::from_u64(0x0B);
+  const Bytes data = mac::wifi::build_data_mpdu(h, pattern_frame(300, 4));
+  const auto run_past = [&](Cycle end) {
+    sched.run_cycles(end + m.cca_latency_cycles() + 10 - sched.now());
+  };
+
+  const Cycle end = m.begin_tx(data, 0);
+  sched.run_cycles(200);
+  m.begin_tx(mac::wifi::build_data_mpdu(h, pattern_frame(40, 8)), 1);
+  run_past(end);
+  // Station 1's short frame reached only jammed listener 3 (one garbled
+  // image); station 0's went out intact to 2 and 4 and garbled to 3.
+  EXPECT_EQ(m.fcs_checks(), 3u) << "one check per image, not per listener";
+
+  corrupt = true;
+  run_past(m.begin_tx(data, 0));
+  EXPECT_EQ(m.fcs_checks(), 4u) << "one corrupted image for three listeners";
+
+  corrupt = false;
+  run_past(m.begin_tx(mac::wifi::build_ack(mac::MacAddr::from_u64(0x0B), 0), 0));
+  EXPECT_EQ(m.fcs_checks(), 5u);
+
+  ASSERT_EQ(clean_a.frames.size(), 3u);
+  ASSERT_EQ(clean_b.frames.size(), 3u);
+  ASSERT_EQ(jammed.frames.size(), 4u);  // Both colliding frames, garbled.
+  EXPECT_EQ(clean_a.verdicts, (std::vector<bool>{true, false, true}));
+  EXPECT_EQ(clean_b.verdicts, clean_a.verdicts);
+  EXPECT_EQ(jammed.verdicts, (std::vector<bool>{false, false, false, true}));
+  for (const VerdictSink* sink : {&clean_a, &clean_b, &jammed}) {
+    for (std::size_t i = 0; i < sink->frames.size(); ++i) {
+      const Bytes& f = sink->frames[i];
+      const auto ctl = mac::wifi::parse_control(f);
+      const auto mpdu = mac::wifi::parse_data_mpdu(f);
+      ASSERT_TRUE(ctl || mpdu);
+      EXPECT_EQ(sink->verdicts[i], ctl ? ctl->fcs_ok : mpdu->fcs_ok) << "frame " << i;
+    }
+  }
+  // Outside a delivery the frame itself is judged.
+  EXPECT_TRUE(m.fcs_ok(data));
+  Bytes bad = data;
+  bad[3] ^= 1;
+  EXPECT_FALSE(m.fcs_ok(bad));
 }
 
 // ---- 64-station contended cell (ROADMAP scale open item) ----------------

@@ -679,10 +679,12 @@ TEST(Quiescence, WakeBetweenRunsLandsOnTheEveryTickCycle) {
     ms.add(s0);
     ms.add(s1);
     Cycle edge = 0;
-    ms.set_round_hook([&] {
-      edge += 256;
-      if (edge == 768) c.deliver_at(edge + 10);
-    });
+    ms.set_round_hook(
+        [&](u64 rounds) {
+          edge += 256 * rounds;
+          if (edge == 768) c.deliver_at(edge + 10);
+        },
+        [&] { return edge < 768 ? Cycle{768} : Clockable::kIdleForever; });
     ms.set_edge_hook(1'024, [&](Cycle at) {
       EXPECT_EQ(s0.now(), at);
       EXPECT_EQ(c.clock(), at) << "settled at the edge hook";
@@ -701,6 +703,87 @@ TEST(Quiescence, WakeBetweenRunsLandsOnTheEveryTickCycle) {
     EXPECT_EQ(mk.consumer_clock, me.consumer_clock) << "workers=" << workers;
     EXPECT_EQ(mk.worker_clock, me.worker_clock) << "workers=" << workers;
     EXPECT_EQ(mk.work, me.work) << "workers=" << workers;
+  }
+}
+
+TEST(MultiScheduler, AllIdleHopsMatchRoundByRound) {
+  // Lanes asleep for many strides at a time: with no lane due, run() hops
+  // to the round holding the earliest wake instead of stepping each round.
+  // The reference declares every edge its own (NextEdge at the current edge
+  // disables hopping). Lane clocks and work, the scripted delivery the hook
+  // makes at its own edge, retirement, checkpoint edges and the lane-stall
+  // profile must all be equal, with one and two workers.
+  struct Out {
+    std::vector<Cycle> w0, w1, rx, edge_hooks;
+    Cycle edge, cycles, c0, c1, c2;
+    u64 rounds, hook_calls, skipped, stall;
+    bool finished;
+  };
+  const auto run = [](bool hop, unsigned workers) {
+    Scheduler s0(200e6), s1(200e6), s2(200e6);
+    PeriodicWorker w0(37'000), w1(91'000);
+    StampedConsumer c;
+    s0.add(w0, "w0");
+    s1.add(w1, "w1");
+    s2.add(c, "c");
+    MultiScheduler ms;
+    ms.add(s0);
+    ms.add(s1, [&] { return w1.work_log.size() >= 3; });  // Retires mid-run.
+    ms.add(s2);
+    constexpr Cycle kDeliverEdge = 150 * 1'024;
+    Out o{};
+    ms.set_round_hook(
+        [&](u64 rounds) {
+          ++o.hook_calls;
+          o.edge += 1'024 * rounds;
+          if (o.edge == kDeliverEdge) c.deliver_at(o.edge + 10);
+        },
+        [&] {
+          if (!hop) return o.edge;
+          return o.edge < kDeliverEdge ? kDeliverEdge : Clockable::kIdleForever;
+        });
+    ms.set_edge_hook(100'000, [&](Cycle at) {
+      o.edge_hooks.push_back(at);
+      EXPECT_EQ(w0.clock(), at) << "settled at the edge hook";
+      EXPECT_EQ(c.clock(), at) << "settled at the edge hook";
+    });
+    const auto res = ms.run(1'000'000, 1'024, workers);
+    o.w0 = w0.work_log;
+    o.w1 = w1.work_log;
+    o.rx = c.rx_log;
+    o.cycles = res.cycles;
+    o.rounds = res.rounds;
+    o.finished = ms.lane_finished(1);
+    o.c0 = w0.clock();
+    o.c1 = w1.clock();
+    o.c2 = c.clock();
+    for (std::size_t i = 0; i < ms.lane_count(); ++i) {
+      o.skipped += ms.lane_rounds_skipped(i);
+      o.stall += ms.lane_stall_cycles(i);
+    }
+    return o;
+  };
+  const Out ref = run(false, 1);
+  EXPECT_EQ(ref.rx, std::vector<Cycle>{150 * 1'024 + 10});
+  EXPECT_EQ(ref.w1.size(), 3u);
+  EXPECT_TRUE(ref.finished);
+  EXPECT_EQ(ref.hook_calls, ref.rounds);
+  for (const unsigned workers : {1u, 2u}) {
+    const Out o = run(true, workers);
+    EXPECT_LT(o.hook_calls, ref.rounds / 4) << "idle rounds were hopped";
+    EXPECT_EQ(o.w0, ref.w0) << "workers=" << workers;
+    EXPECT_EQ(o.w1, ref.w1) << "workers=" << workers;
+    EXPECT_EQ(o.rx, ref.rx) << "workers=" << workers;
+    EXPECT_EQ(o.edge_hooks, ref.edge_hooks) << "workers=" << workers;
+    EXPECT_EQ(o.edge, ref.edge) << "workers=" << workers;
+    EXPECT_EQ(o.cycles, ref.cycles) << "workers=" << workers;
+    EXPECT_EQ(o.rounds, ref.rounds) << "workers=" << workers;
+    EXPECT_EQ(o.finished, ref.finished) << "workers=" << workers;
+    EXPECT_EQ(o.c0, ref.c0) << "workers=" << workers;
+    EXPECT_EQ(o.c1, ref.c1) << "workers=" << workers;
+    EXPECT_EQ(o.c2, ref.c2) << "workers=" << workers;
+    EXPECT_EQ(o.skipped, ref.skipped) << "workers=" << workers;
+    EXPECT_EQ(o.stall, ref.stall) << "workers=" << workers;
   }
 }
 
